@@ -10,13 +10,13 @@ silently poisons cache keys and the parity harness.
 
 v2 grew the per-file determinism lint into a **two-pass project
 analyzer**: pass 1 harvests cross-module facts from every file
-(telemetry wire fields written by ``Report.to_params`` /
-``to_log_string``, fields each analysis ``Fold`` reads, obs metric
-names emitted vs referenced, the async function inventory -- see
-:mod:`repro.check.project`); pass 2 runs the per-file rules plus
-*project rules* that check producer/consumer contracts across module
-boundaries -- the drift class that corrupts reproduced figures without
-ever crashing::
+(telemetry wire fields declared in each report class's ``WIRE`` table
+or hand-written ``to_params`` / ``from_params``, fields each analysis
+``Fold`` reads, obs metric names emitted vs referenced, the async
+function inventory -- see :mod:`repro.check.project`); pass 2 runs the
+per-file rules plus *project rules* that check producer/consumer
+contracts across module boundaries -- the drift class that corrupts
+reproduced figures without ever crashing::
 
     python -m repro check src/              # text findings, exit 1 if any
     python -m repro check src/ --output json
@@ -43,7 +43,7 @@ ASY002  coroutine called but never awaited or scheduled (project)
 ASY003  ``create_task``/``ensure_future`` result dropped without a
         reference or done-callback (silent task death)
 SCH001  telemetry field read (fold / ``from_params``) that no report
-        emits; also ``to_params``/``to_log_string`` twin drift (project)
+        emits (project)
 SCH002  *warn*: emitted telemetry field nothing consumes (project)
 OBS001  metric name referenced in watch/exporters that no
         instrumentation site emits (project)

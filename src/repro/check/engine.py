@@ -52,7 +52,7 @@ __all__ = [
 
 #: bump whenever rule behavior changes -- part of the result-cache key,
 #: so stale cached findings from an older rule set can never be served
-RULESET_VERSION = "2.0"
+RULESET_VERSION = "2.1"
 
 
 class CheckError(Exception):

@@ -11,9 +11,10 @@ called without ever being awaited or scheduled.  All of these are
 This module is the first pass of the two-pass analyzer:
 
 * :func:`harvest_file` walks one parsed module and extracts a
-  :class:`FileFacts` record -- telemetry wire fields written by
-  ``Report.to_params`` / ``to_log_string`` f-strings and read back by
-  ``from_params``, report attributes each ``Fold.update`` touches,
+  :class:`FileFacts` record -- telemetry wire fields declared by a
+  report class's ``WIRE`` table (or written by a hand-written
+  ``to_params`` and read back by ``from_params``), report attributes
+  each ``Fold.update`` touches,
   obs counter/gauge names emitted vs referenced, the async function
   inventory, plus the file's (statement-span-expanded) suppression map.
 * :class:`ProjectContext` merges every file's facts into the global
@@ -57,9 +58,6 @@ _EMIT_CALLEE_RE = re.compile(
 #: module-level constants that enumerate metric names for a consumer
 #: (e.g. watch.py's ``_WORK_COUNTERS`` preference table)
 _REF_COLLECTION_RE = re.compile(r"COUNTER|GAUGE|METRIC")
-
-#: wire keys inside a log-string f-string: ``?type=`` / ``&ci=`` ...
-_WIRE_KEY_RE = re.compile(r"[?&]([A-Za-z_][A-Za-z0-9_]*)=")
 
 Loc = Tuple[int, int]  # (line, col)
 
@@ -154,20 +152,18 @@ class ReportClassFacts:
     fields: List[str] = field(default_factory=list)
     #: every attribute a consumer may read: fields + ClassVars + methods
     attrs: List[str] = field(default_factory=list)
-    #: wire key -> first write location, from ``to_params``/``_header``
+    #: wire key -> first write location, from ``WIRE`` rows/``to_params``
     param_writes: Dict[str, Loc] = field(default_factory=dict)
-    #: wire key -> first write location, from ``to_log_string`` f-strings
-    wire_writes: Dict[str, Loc] = field(default_factory=dict)
-    #: wire key -> first read location, from ``from_params``
+    #: wire key -> first read location, from ``WIRE`` rows/``from_params``
     param_reads: Dict[str, Loc] = field(default_factory=dict)
-    #: constructor kwarg -> wire keys its value expression reads
+    #: attribute -> wire keys it decodes from (``WIRE`` rows and
+    #: ``from_params`` constructor kwargs)
     kwarg_keys: Dict[str, List[str]] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, object]:
         return {
             "bases": self.bases, "fields": self.fields, "attrs": self.attrs,
             "param_writes": {k: list(v) for k, v in self.param_writes.items()},
-            "wire_writes": {k: list(v) for k, v in self.wire_writes.items()},
             "param_reads": {k: list(v) for k, v in self.param_reads.items()},
             "kwarg_keys": self.kwarg_keys,
         }
@@ -179,8 +175,6 @@ class ReportClassFacts:
             attrs=list(d["attrs"]),
             param_writes={k: (v[0], v[1])
                           for k, v in d["param_writes"].items()},
-            wire_writes={k: (v[0], v[1])
-                         for k, v in d["wire_writes"].items()},
             param_reads={k: (v[0], v[1])
                          for k, v in d["param_reads"].items()},
             kwarg_keys={k: list(v) for k, v in d["kwarg_keys"].items()},
@@ -335,15 +329,19 @@ def _collect_param_writes(fn: ast.AST, out: Dict[str, Loc]) -> None:
                     out.setdefault(key, _loc(key_node))
 
 
-def _collect_wire_writes(fn: ast.AST, out: Dict[str, Loc]) -> None:
-    """Wire keys appearing as ``?key=`` / ``&key=`` in any string piece
-    of a ``to_log_string``-style method (f-strings included)."""
-    for node in ast.walk(fn):
-        text = _str_const(node)
-        if text is None:
-            continue
-        for match in _WIRE_KEY_RE.finditer(text):
-            out.setdefault(match.group(1), _loc(node))
+def _collect_wire_table(value: ast.AST, rc: ReportClassFacts) -> None:
+    """Facts of a ``WIRE = (Wire("key", "attr", ...), ...)`` table.
+
+    The shared codec writes and reads every row, so each row's key is
+    both a write and a read, and its attribute decodes from that key.
+    """
+    for row in getattr(value, "elts", []):
+        if isinstance(row, ast.Call) and len(row.args) >= 2:
+            key, attr = _str_const(row.args[0]), _str_const(row.args[1])
+            if key is not None and attr is not None:
+                rc.param_writes.setdefault(key, _loc(row.args[0]))
+                rc.param_reads.setdefault(key, _loc(row.args[0]))
+                rc.kwarg_keys[attr] = [key]
 
 
 def _collect_param_reads(fn: ast.AST, out: Dict[str, Loc]) -> None:
@@ -424,12 +422,16 @@ class _Harvester(ast.NodeVisitor):
                 ann = ast.dump(stmt.annotation)
                 if "ClassVar" not in ann:
                     rc.fields.append(stmt.target.id)
+                elif stmt.target.id == "WIRE" and stmt.value is not None:
+                    _collect_wire_table(stmt.value, rc)
+            elif (isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "WIRE"
+                            for t in stmt.targets)):
+                _collect_wire_table(stmt.value, rc)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 rc.attrs.append(stmt.name)
-                if stmt.name in ("to_params", "_header"):
+                if stmt.name == "to_params":
                     _collect_param_writes(stmt, rc.param_writes)
-                elif stmt.name in ("to_log_string", "_header_str"):
-                    _collect_wire_writes(stmt, rc.wire_writes)
                 elif stmt.name == "from_params":
                     _collect_param_reads(stmt, rc.param_reads)
                     _collect_kwarg_keys(stmt, rc.kwarg_keys)
@@ -549,8 +551,7 @@ class ProjectContext:
 
     Exposes the global views project rules consume; the per-file
     records stay reachable through :attr:`files` for rules that need
-    per-class detail (the to_params/to_log_string twin check) or a
-    finding's suppression map.
+    per-class detail or a finding's suppression map.
     """
 
     def __init__(self, files: Iterable[FileFacts]) -> None:
@@ -558,11 +559,11 @@ class ProjectContext:
 
         self.report_attrs: Set[str] = set()
         self.report_fields: Set[str] = set()
-        #: wire key -> every class emitting it (via to_params OR wire)
+        #: wire keys some report class emits
         self.emitted_keys: Set[str] = set()
-        #: wire key -> read anywhere (from_params or parse_report)
+        #: wire keys read anywhere (decoders or parse_report)
         self.read_keys: Set[str] = set()
-        #: dataclass field -> wire keys from_params maps it to
+        #: dataclass field -> wire keys it decodes from
         self.field_keys: Dict[str, Set[str]] = {}
         self.metric_emits: Set[str] = set()
         self.metric_prefixes: List[str] = []
@@ -591,7 +592,7 @@ class ProjectContext:
             self.suppressions_by_path[facts.path] = facts.suppressions
 
         # emitted keys include what base classes emit (ActivityReport
-        # inherits the header fields its ``_header()`` call produces)
+        # inherits the header rows of Report's WIRE table)
         self._class_facts = class_facts
         for name in class_facts:
             self.emitted_keys.update(self.class_emitted(name))
@@ -607,7 +608,7 @@ class ProjectContext:
         rc = self._class_facts.get(class_name)
         if rc is None:
             return set()
-        keys = set(rc.param_writes) | set(rc.wire_writes)
+        keys = set(rc.param_writes)
         for base in rc.bases:
             keys |= self.class_emitted(base, seen)
         return keys

@@ -10,9 +10,11 @@ check the contract statically from the harvested fact tables:
 
 * **SCH001** (error): a consumer reads a field no producer emits --
   a fold reading an unknown report attribute, a fold reading a
-  dataclass field whose wire key nothing writes, ``from_params``
-  reading a wire key nothing writes, or a ``to_params`` /
-  ``to_log_string`` pair drifting apart within one class.
+  dataclass field whose wire key nothing writes, or ``from_params``
+  reading a wire key nothing writes.  Report classes declare their
+  wire schema once, in a ``WIRE`` table the shared codec derives
+  every encoder and decoder from, so a class's encoders cannot drift
+  apart from each other.
 * **SCH002** (warn): the converse -- an emitted wire key nothing ever
   reads back.  Dead fields are wasted log-server load (the paper's
   partner reports exist precisely to cut that load), but they corrupt
@@ -73,23 +75,6 @@ class SchemaReadWithoutWriter(Rule):
                             facts.path, line, col,
                             f"wire field {key!r} is parsed but no "
                             "report ever emits it")
-        # to_params / to_log_string twins must agree within a class
-        for facts in project.files:
-            for cls, rc in sorted(facts.report_classes.items()):
-                if not rc.param_writes or not rc.wire_writes:
-                    continue  # no hand-written f-string twin to drift
-                for key in sorted(set(rc.wire_writes) - set(rc.param_writes)):
-                    line, col = rc.wire_writes[key]
-                    yield self.project_finding(
-                        facts.path, line, col,
-                        f"{cls}.to_log_string writes {key!r} but "
-                        "to_params does not (twin drift)")
-                for key in sorted(set(rc.param_writes) - set(rc.wire_writes)):
-                    line, col = rc.param_writes[key]
-                    yield self.project_finding(
-                        facts.path, line, col,
-                        f"{cls}.to_params writes {key!r} but "
-                        "to_log_string does not (twin drift)")
 
 
 @register
@@ -109,10 +94,7 @@ class SchemaWriteWithoutReader(Rule):
             return  # no consumer in view: nothing to compare against
         for facts in project.files:
             for cls, rc in sorted(facts.report_classes.items()):
-                writes = dict(rc.param_writes)
-                for key, loc in rc.wire_writes.items():
-                    writes.setdefault(key, loc)
-                for key, (line, col) in sorted(writes.items()):
+                for key, (line, col) in sorted(rc.param_writes.items()):
                     if key not in project.read_keys:
                         yield self.project_finding(
                             facts.path, line, col,

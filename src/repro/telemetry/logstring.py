@@ -25,9 +25,6 @@ LOG_PATH = "/log"
 _UNRESERVED = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
 )
-#: what a joined ``k1=v1&k2=v2`` string is allowed to contain when every
-#: key and value is purely unreserved (the separators are structural)
-_JOINED_SAFE = frozenset(_UNRESERVED | {"=", "&"})
 
 
 def encode_log_string(params: Dict[str, str]) -> str:
@@ -40,24 +37,6 @@ def encode_log_string(params: Dict[str, str]) -> str:
     """
     if not params:
         raise ValueError("a log string needs at least one parameter")
-    # fast path: if the naive join contains only unreserved characters
-    # plus exactly the structural separators, no key or value needed
-    # quoting and the naive string IS the encoding.  Report fields are
-    # numeric ids / enum names, so this is the overwhelmingly common case
-    # and turns a per-pair python loop into a few C-level string scans.
-    try:
-        naive = "&".join(map("=".join, params.items()))
-    except TypeError:
-        naive = None  # non-str value somewhere: take the general path
-    if (
-        naive is not None
-        and _JOINED_SAFE.issuperset(naive)
-        and naive.count("=") == len(params)     # no "=" in any key/value
-        and naive.count("&") == len(params) - 1  # no "&" in any key/value
-        and naive[0] != "="                      # no empty first key
-        and "&=" not in naive                    # no empty later key
-    ):
-        return LOG_PATH + "?" + naive
     unreserved = _UNRESERVED.issuperset
     parts = []
     append = parts.append

@@ -1,9 +1,8 @@
 """Fixture: SCH001 positives -- telemetry reads nothing ever emits.
 
-Self-contained producer/consumer pair: a report class whose
-``to_params`` / ``to_log_string`` twins drifted, a ``from_params``
-reading a wire key nothing writes, and a fold reading attributes the
-report never carries on the wire (or at all).
+Self-contained producer/consumer pair: a ``from_params`` reading a
+wire key nothing writes, and a fold reading attributes the report never
+carries on the wire (or at all).
 """
 from dataclasses import dataclass
 from typing import Dict
@@ -22,10 +21,6 @@ class ChunkReport:
             "cr": f"{self.chunk_rate:.3f}",
             "lag": f"{self.lag:.3f}",
         }
-
-    def to_log_string(self) -> str:
-        # twin drift: "lag" is in to_params but missing here
-        return f"/log?t={self.time:.3f}&cr={self.chunk_rate:.3f}"
 
     @classmethod
     def from_params(cls, p: Dict[str, str]) -> "ChunkReport":

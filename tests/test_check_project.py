@@ -47,12 +47,6 @@ def test_harvest_report_wire_schema():
     assert set(classes["PartnerReport"].param_writes) == {
         "np", "nin", "nout", "pev"}
 
-    # the f-string twins carry exactly the same keys (SCH001 pins this)
-    for name in ("Report", "ActivityReport", "QoSReport",
-                 "TrafficReport", "PartnerReport"):
-        rc = classes[name]
-        assert set(rc.wire_writes) == set(rc.param_writes), name
-
 
 def test_harvest_kwarg_to_wire_key_mapping():
     facts = _harvest(REPORTS)
@@ -61,9 +55,9 @@ def test_harvest_kwarg_to_wire_key_mapping():
     assert traffic.kwarg_keys["bytes_down"] == ["down"]
     qos = facts.report_classes["QoSReport"]
     assert qos.kwarg_keys["continuity"] == ["ci"]
-    # events=events is precomputed -- no extractable wire mapping
+    # free-text rows map too: the table names every attribute's key
     partner = facts.report_classes["PartnerReport"]
-    assert "events" not in partner.kwarg_keys
+    assert partner.kwarg_keys["events"] == ["pev"]
 
 
 def test_harvest_global_parse_report_reads():

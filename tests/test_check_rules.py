@@ -37,7 +37,7 @@ EXPECTED_VIOLATIONS = {
     "ASY001": 4,   # time.sleep, open, create_connection, subprocess.run
     "ASY002": 2,   # bare coroutine call, bare async-method call
     "ASY003": 2,   # loop.create_task, asyncio.ensure_future
-    "SCH001": 4,   # twin drift, unknown attr, unread wire key x2
+    "SCH001": 3,   # unknown attr, unread wire key x2
     "SCH002": 1,   # "hopc" emitted, never parsed back
     "UNIT001": 5,  # blocks+s, s-blocks, kbps+bps, ms+=s, attr s+blocks
     "OBS001": 2,   # .get() miss + membership-probe miss

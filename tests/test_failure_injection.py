@@ -84,6 +84,14 @@ class TestHostileInput:
         with pytest.raises(ValueError):
             list(server.reports())
 
+    def test_missing_required_field_fails_loudly_at_parse(self):
+        from repro.telemetry.server import LogServer
+
+        server = LogServer()
+        assert server.receive(0.0, "/log?type=qos&node=1")
+        with pytest.raises(ValueError, match="'t'"):
+            list(server.reports())
+
     def test_rpc_to_never_existing_node(self, small_system):
         small_system.rpc(0, 999999, "rpc_bm_update", 0, None)
         small_system.run(until=5.0)  # silently dropped

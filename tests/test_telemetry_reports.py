@@ -1,5 +1,7 @@
 """Round-trip tests for every report type."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,30 @@ from repro.telemetry.reports import (
 
 def roundtrip(report):
     return parse_report(decode_log_string(encode_log_string(report.to_params())))
+
+
+#: values that survive the wire exactly: times in ms (``t`` keeps three
+#: decimals), whole bytes, partner-event times in tenths of a second
+wire_times = st.integers(0, 10**9).map(lambda ms: ms / 1000)
+wire_bytes = st.integers(0, 10**12).map(float)
+partner_events = st.lists(
+    st.builds(PartnerEvent,
+              time=st.integers(0, 10**7).map(lambda ds: ds / 10),
+              op=st.sampled_from(list(PartnerOp)),
+              partner_id=st.integers(0, 10**6),
+              incoming=st.booleans()),
+    max_size=6,
+).map(tuple)
+traffic_reports = st.builds(
+    TrafficReport, time=wire_times, node_id=st.integers(0, 10**6),
+    user_id=st.integers(0, 10**6), session_id=st.integers(0, 10**6),
+    bytes_up=wire_bytes, bytes_down=wire_bytes, total_up=wire_bytes,
+    total_down=wire_bytes)
+partner_reports = st.builds(
+    PartnerReport, time=wire_times, node_id=st.integers(0, 10**6),
+    user_id=st.integers(0, 10**6), session_id=st.integers(0, 10**6),
+    events=partner_events, n_partners=st.integers(0, 50),
+    n_incoming=st.integers(0, 10**4), n_outgoing=st.integers(0, 10**4))
 
 
 class TestActivityReport:
@@ -144,6 +170,44 @@ class TestDispatch:
         else:
             assert back.continuity == pytest.approx(cont, abs=1e-4)
 
+    @given(report=traffic_reports | partner_reports)
+    @settings(max_examples=100, deadline=None)
+    def test_property_traffic_partner_roundtrip(self, report):
+        assert roundtrip(report) == report
+        assert parse_report(decode_log_string(report.to_log_string())) == report
+
+
+ALL_REPORT_CLASSES = [ActivityReport, QoSReport, TrafficReport, PartnerReport]
+
+
+class TestWireTable:
+    @pytest.mark.parametrize("cls", ALL_REPORT_CLASSES,
+                             ids=lambda c: c.__name__)
+    def test_each_field_in_exactly_one_row(self, cls):
+        rows = [row for klass in reversed(cls.__mro__)
+                for row in vars(klass).get("WIRE", ())]
+        assert sorted(row.attr for row in rows) == sorted(
+            f.name for f in dataclasses.fields(cls))
+        keys = ["type"] + [row.key for row in rows]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("line, expected", [
+        ("/log?type=act&t=1.000&node=1&user=2&sess=3&ev=leave",
+         ActivityReport(time=1.0, node_id=1, user_id=2, session_id=3,
+                        event=ActivityEvent.LEAVE)),
+        ("/log?type=qos&t=1.000&node=1&user=2&sess=3",
+         QoSReport(time=1.0, node_id=1, user_id=2, session_id=3)),
+        ("/log?type=traf&t=1.000&node=1&user=2&sess=3&up=5&down=6",
+         TrafficReport(time=1.0, node_id=1, user_id=2, session_id=3,
+                       bytes_up=5.0, bytes_down=6.0)),
+        ("/log?type=part&t=1.000&node=1&user=2&sess=3",
+         PartnerReport(time=1.0, node_id=1, user_id=2, session_id=3)),
+        ("/log?type=part&t=1.000&node=1&user=2&sess=3&pev=",
+         PartnerReport(time=1.0, node_id=1, user_id=2, session_id=3)),
+    ])
+    def test_required_keys_only_decode_to_defaults(self, line, expected):
+        assert parse_report(decode_log_string(line)) == expected
+
 
 class TestFastWireEncoding:
     """`to_log_string` fast paths must be bit-identical to the codec."""
@@ -194,3 +258,8 @@ class TestFastWireEncoding:
                            session_id=user + 1, event=event, attempt=attempt,
                            address_public=pub, reason=reason)
         assert r.to_log_string() == encode_log_string(r.to_params())
+
+    @given(report=traffic_reports | partner_reports)
+    @settings(max_examples=100, deadline=None)
+    def test_property_traffic_partner_match_codec(self, report):
+        assert report.to_log_string() == encode_log_string(report.to_params())
