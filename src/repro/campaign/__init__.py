@@ -30,7 +30,7 @@ from repro.campaign.aggregate import (
     write_metrics_json,
 )
 from repro.campaign.registry import (
-    CAMPAIGN_EXPERIMENTS,
+    EXPERIMENTS,
     UnknownExperimentError,
     experiment_ref,
     resolve_experiment,
@@ -50,7 +50,7 @@ __all__ = [
     "ResultStore",
     "run_campaign", "CampaignReport", "RunResult", "RunTimeout",
     "DEFAULT_TRANSIENT",
-    "CAMPAIGN_EXPERIMENTS", "UnknownExperimentError", "resolve_experiment",
+    "EXPERIMENTS", "UnknownExperimentError", "resolve_experiment",
     "experiment_ref",
     "successful_results", "to_replication", "sweep_series",
     "report_to_dict", "write_metrics_json",

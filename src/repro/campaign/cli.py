@@ -13,18 +13,17 @@ Usage::
 content-addressed store; ``--force`` re-executes everything, ``--resume``
 requires a prior journal for the same campaign (the crash-recovery
 workflow: identical spec, only missing runs execute).  Observability
-follows the PR-1 conventions: ``--metrics-out`` streams heartbeat
+follows the figure commands: ``--metrics-out`` streams heartbeat
 snapshots (runs completed/cached/failed gauges) as JSONL with a manifest
 sidecar, ``--progress`` prints campaign heartbeat lines to stderr.
 
 Exit codes: 0 success, 1 any failed run or backend-startup failure,
-2 bad spec / unknown experiment, 130 interrupted (shared convention
-with ``python -m repro`` and ``python -m repro parity``).
+2 bad spec / unknown experiment, 130 interrupted (the convention of
+every ``python -m repro`` command, see :mod:`repro.experiments.cli`).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 
@@ -33,21 +32,20 @@ from repro.campaign.aggregate import to_replication, write_metrics_json
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import DEFAULT_STORE_DIR, ResultStore
+from repro.experiments.cli import add_flags
 from repro.experiments.render import render_table
-from repro.runtime.backends import BackendStartupError
 
-__all__ = ["main"]
+__all__ = ["configure", "run"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign",
-        description="Parallel experiment campaigns with content-addressed "
-                    "result caching and crash-safe resume.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def configure(parser) -> None:
+    parser.description = ("Parallel experiment campaigns with "
+                          "content-addressed result caching and crash-safe "
+                          "resume.")
+    sub = parser.add_subparsers(dest="action", required=True)
 
     p_run = sub.add_parser("run", help="execute a campaign spec")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("spec", help="JSON campaign spec file")
     p_run.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: cpu count; "
@@ -69,20 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default %(default)ss)")
     p_run.add_argument("--out", default=None, metavar="PATH",
                        help="write the figure-ready campaign JSON artifact")
-    p_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write a JSONL metrics time series (plus "
-                            "*.manifest.json sidecar); view live with "
-                            "'python -m repro watch PATH'")
-    p_run.add_argument("--progress", action="store_true",
-                       help="print campaign heartbeat lines to stderr")
-    p_run.add_argument("--log-spill", default=None, metavar="DIR",
-                       help="spill every run's telemetry log to gzip chunks "
-                            "under DIR (storage-only; never enters run keys; "
-                            "overrides the spec's 'log_spill' key)")
-    p_run.add_argument("--quiet", action="store_true",
-                       help="suppress the per-run table on stdout")
+    # --progress prints campaign heartbeat lines; --log-spill overrides
+    # the spec's 'log_spill' key
+    add_flags(p_run, "metrics_out", "progress", "log_spill", "quiet")
 
     p_status = sub.add_parser("status", help="show journalled campaigns")
+    p_status.set_defaults(handler=_cmd_status)
     p_status.add_argument("--store", default=DEFAULT_STORE_DIR)
     p_status.add_argument("--follow", action="store_true",
                           help="re-poll the journal until every campaign "
@@ -92,8 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default %(default)ss)")
 
     p_clean = sub.add_parser("clean", help="drop the store and journal")
+    p_clean.set_defaults(handler=_cmd_clean)
     p_clean.add_argument("--store", default=DEFAULT_STORE_DIR)
-    return parser
+
+
+def run(args) -> int:
+    """``python -m repro campaign``; returns the exit code."""
+    return args.handler(args)
 
 
 def _cmd_run(args) -> int:
@@ -140,9 +135,6 @@ def _cmd_run(args) -> int:
     except SpecError as exc:  # unknown experiment surfaces pre-execution
         print(f"error: bad spec: {exc}", file=sys.stderr)
         return 2
-    except BackendStartupError as exc:
-        print(f"error: backend startup: {exc}", file=sys.stderr)
-        return 1
 
     if args.out:
         write_metrics_json(report, args.out)
@@ -233,23 +225,3 @@ def _cmd_clean(args) -> int:
     n = store.clean()
     print(f"removed {n} cached objects (and the journal) from {store.root}")
     return 0
-
-
-def main(argv=None) -> int:
-    """Campaign CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "clean":
-            return _cmd_clean(args)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    return 2  # pragma: no cover - argparse enforces the choices
-
-
-if __name__ == "__main__":
-    sys.exit(main())

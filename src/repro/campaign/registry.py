@@ -1,11 +1,13 @@
-"""Experiment registry: how workers resolve a run's callable by name.
+"""Experiment registry: the one name -> function table of experiments.
 
+The figure commands of ``python -m repro``, ``python -m repro profile``
+and campaign workers all look experiments up in :data:`EXPERIMENTS`.
 Campaign runs carry only a *string* experiment reference so that specs
 are serialisable and worker processes can re-resolve the callable on
 their side.  Two forms are accepted:
 
 * a short registry name (``"fig3"``, ``"fig9_size"``, ...) listed in
-  :data:`CAMPAIGN_EXPERIMENTS`;
+  :data:`EXPERIMENTS`;
 * a ``"module:qualname"`` path to any importable callable accepting a
   ``seed`` keyword and returning a
   :class:`~repro.experiments.render.FigureResult`.
@@ -23,6 +25,7 @@ from typing import Callable, Dict
 
 from repro.campaign.spec import SpecError
 from repro.experiments.figures import (
+    table1,
     fig3_user_types_and_contribution,
     fig4_overlay_structure,
     fig5_user_evolution,
@@ -39,7 +42,7 @@ from repro.experiments.model_validation import (
     validate_dynamics_equations,
 )
 
-__all__ = ["CAMPAIGN_EXPERIMENTS", "UnknownExperimentError",
+__all__ = ["EXPERIMENTS", "SWEEP_POINTS", "UnknownExperimentError",
            "resolve_experiment", "experiment_ref"]
 
 
@@ -47,7 +50,11 @@ class UnknownExperimentError(SpecError):
     """The experiment reference cannot be resolved (CLI exit code 2)."""
 
 
-CAMPAIGN_EXPERIMENTS: Dict[str, Callable] = {
+#: every named experiment, in ``python -m repro list`` order.  The CLI
+#: passes ``seed``/``jobs``/``engine`` only where the signature takes them
+#: (``table1`` is static and takes none); campaign runs always pass ``seed``.
+EXPERIMENTS: Dict[str, Callable] = {
+    "table1": table1,
     "fig3": fig3_user_types_and_contribution,
     "fig4": fig4_overlay_structure,
     "fig5": fig5_user_evolution,
@@ -62,6 +69,9 @@ CAMPAIGN_EXPERIMENTS: Dict[str, Callable] = {
     "convergence": validate_convergence_model,
 }
 
+#: single Fig. 9 sweep points: campaign grid cells, not CLI commands
+SWEEP_POINTS = frozenset({"fig9_size", "fig9_rate"})
+
 
 def resolve_experiment(ref: str) -> Callable:
     """Resolve an experiment reference to its callable.
@@ -69,7 +79,7 @@ def resolve_experiment(ref: str) -> Callable:
     Registry names win; otherwise ``module:qualname`` is imported.  Raises
     :class:`UnknownExperimentError` on anything unresolvable.
     """
-    fn = CAMPAIGN_EXPERIMENTS.get(ref)
+    fn = EXPERIMENTS.get(ref)
     if fn is not None:
         return fn
     if ":" in ref:
@@ -92,7 +102,7 @@ def resolve_experiment(ref: str) -> Callable:
         return obj
     raise UnknownExperimentError(
         f"unknown experiment {ref!r}; registry names: "
-        f"{', '.join(sorted(CAMPAIGN_EXPERIMENTS))} "
+        f"{', '.join(sorted(EXPERIMENTS))} "
         f"(or use 'module:qualname')"
     )
 
@@ -104,7 +114,7 @@ def experiment_ref(fn: Callable) -> str:
     it round-trips to the same object (closures and lambdas do not and are
     rejected — they cannot be re-resolved inside a worker process).
     """
-    for name, registered in CAMPAIGN_EXPERIMENTS.items():
+    for name, registered in EXPERIMENTS.items():
         if registered is fn:
             return name
     mod = getattr(fn, "__module__", None)

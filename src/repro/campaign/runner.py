@@ -47,6 +47,7 @@ import repro.obs as obs
 from repro.campaign.registry import resolve_experiment
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.store import ResultStore
+from repro.telemetry.sink import SPILL_ENV_VAR
 
 __all__ = [
     "DEFAULT_TRANSIENT",
@@ -286,12 +287,6 @@ def run_campaign(
     """
     jobs = max(1, int(jobs if jobs is not None else (os.cpu_count() or 1)))
     stream = stream if stream is not None else sys.stderr
-    if spec.log_spill:
-        # before any worker forks: the spill root rides the environment
-        # into every run (storage-only — never part of a run key)
-        from repro.telemetry.sink import SPILL_ENV_VAR
-
-        os.environ[SPILL_ENV_VAR] = spec.log_spill
     t0 = perf_counter()  # repro: noqa[DET002] campaign wall time, excluded from run keys
     results: Dict[str, RunResult] = {}
 
@@ -368,6 +363,11 @@ def run_campaign(
         obs.inc("campaign.runs_failed")
 
     interrupted = False
+    # before any worker forks: the spill root rides the environment into
+    # every run (storage-only — never part of a run key); restored after
+    prior_spill = os.environ.get(SPILL_ENV_VAR)
+    if spec.log_spill:
+        os.environ[SPILL_ENV_VAR] = spec.log_spill
     try:
         if jobs == 1:
             _run_inprocess(pending, results, journal, record_done,
@@ -386,6 +386,11 @@ def run_campaign(
             stream.write(f"[campaign] {spec.name}: interrupted — "
                          f"{len(results)}/{len(spec.runs)} settled\n")
             stream.flush()
+    finally:
+        if prior_spill is None:
+            os.environ.pop(SPILL_ENV_VAR, None)
+        else:
+            os.environ[SPILL_ENV_VAR] = prior_spill
 
     c = counts()
     beat.tick(done=c["done"], cached=c["cached"], failed=c["failed"],

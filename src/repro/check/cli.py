@@ -36,7 +36,7 @@ from typing import List, Optional
 
 from repro.check.engine import CheckError, all_rules, check_paths
 
-__all__ = ["main"]
+__all__ = ["configure", "run"]
 
 
 def _split_rules(value: Optional[str]) -> Optional[List[str]]:
@@ -45,13 +45,10 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro check",
-        description="AST-based static contract analysis for the repro "
-                    "codebase (determinism, async-safety, telemetry "
-                    "schema conformance).",
-    )
+def configure(parser: argparse.ArgumentParser) -> None:
+    parser.description = ("AST-based static contract analysis for the "
+                          "repro codebase (determinism, async-safety, "
+                          "telemetry schema conformance).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to check (default: src)")
     # --format is the historical spelling; both write the same dest
@@ -67,17 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids to skip")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors already
-        return int(exc.code or 0)
-
+def run(args: argparse.Namespace) -> int:
+    """``python -m repro check``; returns the exit code."""
     if args.list_rules:
         for rule in all_rules():
             scope = "project" if rule.project else "file"
@@ -122,6 +112,3 @@ def select_rules_for_sarif(args: argparse.Namespace):
     from repro.check.engine import select_rules
     return select_rules(_split_rules(args.select), _split_rules(args.ignore))
 
-
-if __name__ == "__main__":  # pragma: no cover - module execution hook
-    sys.exit(main())

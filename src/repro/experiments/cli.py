@@ -1,8 +1,8 @@
-"""Command-line interface: regenerate paper artefacts from the shell.
+"""Command-line interface: the one front door of ``python -m repro``.
 
 Usage::
 
-    python -m repro list                 # what can be regenerated
+    python -m repro list                 # every command
     python -m repro table1
     python -m repro fig3 [--seed 7]
     python -m repro fig9 --seed 1 --jobs 4    # parallel sweep points
@@ -16,19 +16,27 @@ Usage::
     python -m repro profile fig3              # cProfile hot spots + Chrome trace
     python -m repro watch m.jsonl             # live view of a metrics feed
 
-Each command runs the corresponding experiment at the default benchmark
-scale and prints the rendered tables/series.
+Every subcommand is one row of :data:`COMMANDS`: a name and the module
+that implements it.  The module provides ``configure(parser)``, which
+declares its flags on a subparser of the single parser tree, and
+``run(args) -> int``.  Flags that several commands take (``--seed``,
+``--engine``, the observability flags) are declared once in
+:data:`SHARED_FLAGS` and picked by name with :func:`add_flags`.
+
+Each figure command runs the corresponding experiment of
+:data:`EXPERIMENTS` at the default benchmark scale and prints the
+rendered tables/series.
 
 ``--engine NAME`` overrides the engine an experiment runs on; the
 choices come from the backend registry
 (:func:`repro.runtime.backends.available_engines`: the event-driven
-``detailed`` engine, the fluid ``fast`` engine, and the localhost-socket
-``net`` deployment).  Each experiment has a sensible default: protocol
-figures use the event-driven engine, population-scale figures the fluid
-one.  Experiments that are engine-specific (table1, model, convergence)
-ignore the flag.
+``detailed`` engine, the fluid ``fast`` engine, the mean-field ``ode``
+engine and the localhost-socket ``net`` deployment).  Each experiment
+has a sensible default: protocol figures use the event-driven engine,
+population-scale figures the fluid one.  Experiments that are
+engine-specific (table1, model, convergence) ignore the flag.
 
-Observability (any subcommand)::
+Observability (figure commands)::
 
     python -m repro fig6 --metrics-out m.jsonl --trace-out t.json --progress
 
@@ -47,36 +55,29 @@ LogServer` spill its log lines to gzip-compressed chunks under ``DIR``
 instead of keeping them in RAM (:mod:`repro.telemetry.sink`), bounding
 log-side memory at production volumes.  Spilling only relocates storage;
 figures and tables are byte-identical, so the flag never enters campaign
-run keys.  Equivalent to setting ``REPRO_LOG_SPILL``.
+run keys.  Equivalent to setting ``REPRO_LOG_SPILL``.  Both variables
+reach worker processes while the command runs and are restored when it
+returns.
 
-Exit codes: 0 success, 1 experiment or backend-startup error (one-line
-message on stderr), 2 usage error (unknown experiment name), 130
-interrupted.  ``run``/``parity``/``campaign run`` share this convention.
+Exit codes, the same for every command: 0 success, 1 experiment or
+backend-startup error (one-line message on stderr), 2 usage error
+(unknown experiment name, bad flag), 130 interrupted.  :func:`main`
+returns the code and never raises ``SystemExit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import inspect
+import os
 import sys
 import time
 from typing import Callable, Dict, Optional
 
 import repro.obs as obs
-from repro.experiments import (
-    fig3_user_types_and_contribution,
-    fig4_overlay_structure,
-    fig5_user_evolution,
-    fig6_join_time_cdfs,
-    fig7_ready_time_by_period,
-    fig8_continuity_by_type,
-    fig9_scalability,
-    fig10_sessions_and_retries,
-    table1,
-    validate_convergence_model,
-    validate_dynamics_equations,
-)
+from repro.campaign.registry import EXPERIMENTS, SWEEP_POINTS
 from repro.experiments.ablations import (
     ablate_cooldown,
     ablate_delivery_mode,
@@ -86,35 +87,10 @@ from repro.experiments.ablations import (
     ablate_substreams,
 )
 from repro.runtime.backends import BackendStartupError, available_engines
+from repro.telemetry.sink import SPILL_ENV_VAR
 
-__all__ = ["main", "EXPERIMENTS"]
-
-def _engine_kw(engine: Optional[str]) -> Dict[str, str]:
-    """``{"engine": ...}`` when an override was given, else ``{}`` so the
-    experiment's own per-figure default applies."""
-    return {} if engine is None else {"engine": engine}
-
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "table1": lambda seed, jobs=1: table1(),
-    "fig3": lambda seed, jobs=1, engine=None: fig3_user_types_and_contribution(
-        seed=seed, **_engine_kw(engine)),
-    "fig4": lambda seed, jobs=1: fig4_overlay_structure(seed=seed),
-    "fig5": lambda seed, jobs=1, engine=None: fig5_user_evolution(
-        seed=seed, **_engine_kw(engine)),
-    "fig6": lambda seed, jobs=1, engine=None: fig6_join_time_cdfs(
-        seed=seed, **_engine_kw(engine)),
-    "fig7": lambda seed, jobs=1, engine=None: fig7_ready_time_by_period(
-        seed=seed, **_engine_kw(engine)),
-    "fig8": lambda seed, jobs=1, engine=None: fig8_continuity_by_type(
-        seed=seed, **_engine_kw(engine)),
-    "fig9": lambda seed, jobs=1, engine=None: fig9_scalability(
-        seed=seed, jobs=jobs, **_engine_kw(engine)),
-    "fig10": lambda seed, jobs=1, engine=None: fig10_sessions_and_retries(
-        seed=seed, **_engine_kw(engine)),
-    "model": lambda seed, jobs=1: validate_dynamics_equations(seed=seed),
-    "convergence": lambda seed, jobs=1: validate_convergence_model(seed=seed),
-}
+__all__ = ["main", "COMMANDS", "EXPERIMENTS", "FIGURES", "ABLATIONS",
+           "SHARED_FLAGS", "UsageError", "add_flags"]
 
 ABLATIONS: Dict[str, Callable] = {
     "offset": ablate_offset_mode,
@@ -125,22 +101,109 @@ ABLATIONS: Dict[str, Callable] = {
     "delivery-mode": ablate_delivery_mode,
 }
 
+#: the experiments run as figure commands (and by ``all``, in this order)
+FIGURES = tuple(name for name in EXPERIMENTS if name not in SWEEP_POINTS)
+
+#: subcommand -> module providing ``configure(parser)`` and ``run(args)``;
+#: ``list`` prints the keys in this order
+COMMANDS: Dict[str, str] = {
+    **dict.fromkeys(FIGURES, __name__),
+    "ablations": __name__,
+    "all": __name__,
+    "campaign": "repro.campaign.cli",
+    "parity": "repro.runtime.parity",
+    "run": "repro.experiments.run_cli",
+    "check": "repro.check.cli",
+    "profile": "repro.experiments.profile",
+    "watch": "repro.obs.watch",
+    "list": __name__,
+}
+
+#: flags several commands take, declared once: dest -> ``add_argument``
+#: keywords (the option is ``--dest`` with dashes); a command adjusts a
+#: default with ``parser.set_defaults``
+SHARED_FLAGS: Dict[str, dict] = {
+    "seed": dict(type=int, default=0, help="root random seed (default 0)"),
+    "engine": dict(default=None,
+                   help="simulation engine (default %(default)s; None = "
+                        "each experiment's documented default)"),
+    "metrics_out": dict(metavar="PATH", default=None,
+                        help="write a JSONL metrics time series (plus a "
+                             "*.manifest.json run manifest sidecar); view "
+                             "live with 'python -m repro watch PATH'"),
+    "trace_out": dict(metavar="PATH", default=None,
+                      help="write a Chrome trace_event JSON file "
+                           "(open in chrome://tracing or Perfetto)"),
+    "progress": dict(action="store_true",
+                     help="print a periodic heartbeat line to stderr"),
+    "rng_sanitize": dict(choices=("strict", "warn"), default=None,
+                         metavar="MODE",
+                         help="enable the RNG seed-discipline sanitizer "
+                              "(strict raises on violations, warn records "
+                              "them; equivalent to REPRO_RNG_SANITIZE)"),
+    "log_spill": dict(metavar="DIR", default=None,
+                      help="spill telemetry logs to gzip chunks under DIR "
+                           "instead of holding them in memory (equivalent "
+                           "to REPRO_LOG_SPILL; never affects results)"),
+    "quiet": dict(action="store_true",
+                  help="suppress rendered tables/series on stdout"),
+}
+
+#: shared flags that reach worker processes through the environment
+_FLAG_ENV = {"rng_sanitize": "REPRO_RNG_SANITIZE", "log_spill": SPILL_ENV_VAR}
+
+
+class UsageError(Exception):
+    """A command rejected its parsed arguments (exit code 2)."""
+
+
+def add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the :data:`SHARED_FLAGS` ``names`` on ``parser``."""
+    for name in names:
+        kwargs = dict(SHARED_FLAGS[name])
+        if name == "engine":
+            kwargs["choices"] = available_engines()
+        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the figure commands, ``ablations``, ``all`` and ``list``
+# ---------------------------------------------------------------------------
+def configure(parser: argparse.ArgumentParser) -> None:
+    add_flags(parser, "seed", "engine", "metrics_out", "trace_out",
+              "progress", "rng_sanitize", "log_spill", "quiet")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for sweep experiments "
+                             "(fig9; default 1 = in-process)")
+
+
+def run(args) -> int:
+    name = args.command
+    if name == "list":
+        print("\n".join(COMMANDS))
+        return 0
+    if name == "all":
+        todo = [(key, EXPERIMENTS[key]) for key in FIGURES]
+    elif name == "ablations":
+        todo = list(ABLATIONS.items())
+    else:
+        todo = [(name, EXPERIMENTS[name])]
+    with _obs_session(args, scenario=name):
+        for key, fn in todo:
+            _run_one(key, fn, args.seed, jobs=args.jobs, engine=args.engine,
+                     quiet=args.quiet)
+    return 0
+
 
 def _run_one(name: str, fn: Callable, seed: int, *, jobs: int = 1,
              engine: Optional[str] = None, quiet: bool = False) -> None:
     t0 = time.perf_counter()  # repro: noqa[DET002] CLI elapsed-time display only
-    # registry entries take (seed, jobs[, engine]); tolerate externally
-    # registered seed-only callables
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        params = {}
-    kwargs = {}
-    if "jobs" in params:
-        kwargs["jobs"] = jobs
-    if "engine" in params and engine is not None:
-        kwargs["engine"] = engine
-    result = fn(seed, **kwargs) if params else fn(seed)
+    # pass each option only where the signature takes it (table1 takes
+    # none; engine=None keeps the experiment's own default engine)
+    params = inspect.signature(fn).parameters
+    offered = {"seed": seed, "jobs": jobs, "engine": engine}
+    result = fn(**{k: v for k, v in offered.items()
+                   if k in params and v is not None})
     elapsed = time.perf_counter() - t0  # repro: noqa[DET002] CLI elapsed-time display only
     if not quiet:
         print(result.render())
@@ -162,135 +225,65 @@ def _obs_session(args, scenario: str):
     )
 
 
-def main(argv=None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "campaign":
-        # the campaign orchestrator has its own sub-CLI (run/status/clean)
-        from repro.campaign.cli import main as campaign_main
-
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "parity":
-        # the cross-engine parity harness has its own flags
-        from repro.runtime.parity import main as parity_main
-
-        return parity_main(argv[1:])
-    if argv and argv[0] == "run":
-        # raw single-scenario runner (own flags: --users/--horizon/...)
-        from repro.experiments.run_cli import main as run_main
-
-        return run_main(argv[1:])
-    if argv and argv[0] == "check":
-        # the determinism lint has its own flags (paths, --format, ...)
-        from repro.check.cli import main as check_main
-
-        return check_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # cProfile hot-spot runner (own flags: --top/--sort/--trace-out)
-        from repro.experiments.profile import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "watch":
-        # live metrics-feed viewer (own flags: --once/--interval/--timeout)
-        from repro.obs.watch import main as watch_main
-
-        return watch_main(argv[1:])
-
+# ---------------------------------------------------------------------------
+# the front door
+# ---------------------------------------------------------------------------
+def _build_parser():
+    """The parser tree: one subparser per :data:`COMMANDS` row."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures of the Coolstreaming "
                     "measurement study (ICPP 2007).",
     )
-    parser.add_argument(
-        "experiment",
-        help="one of: %s, ablations, all, list" % ", ".join(EXPERIMENTS),
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root random seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweep experiments "
-                             "(fig9; default 1 = in-process)")
-    parser.add_argument("--engine", choices=available_engines(),
-                        default=None,
-                        help="override the simulation engine (default: "
-                             "each experiment's documented default)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write a JSONL metrics time series (plus a "
-                             "*.manifest.json run manifest sidecar)")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome trace_event JSON file "
-                             "(open in chrome://tracing or Perfetto)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a periodic heartbeat line to stderr")
-    parser.add_argument("--rng-sanitize", choices=("strict", "warn"),
-                        default=None, metavar="MODE",
-                        help="enable the RNG seed-discipline sanitizer "
-                             "(strict raises on violations, warn records "
-                             "them; equivalent to REPRO_RNG_SANITIZE)")
-    parser.add_argument("--log-spill", metavar="DIR", default=None,
-                        help="spill telemetry logs to gzip chunks under DIR "
-                             "instead of holding them in memory (equivalent "
-                             "to REPRO_LOG_SPILL; never affects results)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress rendered tables/series on stdout")
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, module in COMMANDS.items():
+        importlib.import_module(module).configure(commands.add_parser(name))
+    return parser, commands
 
-    if args.rng_sanitize:
-        # via the environment so forked campaign/sweep workers inherit it
-        import os
 
-        os.environ["REPRO_RNG_SANITIZE"] = args.rng_sanitize
-    if args.log_spill:
-        # same environment route: sweep workers inherit the spill root;
-        # spilling only moves log storage, so it never enters a run key
-        import os
+@contextlib.contextmanager
+def _restored_environ():
+    """Undo a command's environment writes once it returns; worker
+    processes inherit them while it runs."""
+    saved = dict(os.environ)
+    try:
+        yield
+    finally:
+        for key in set(os.environ) - set(saved):
+            del os.environ[key]
+        os.environ.update(saved)
 
-        from repro.telemetry.sink import SPILL_ENV_VAR
 
-        os.environ[SPILL_ENV_VAR] = args.log_spill
-
-    name = args.experiment
-    if name == "list":
-        for key in EXPERIMENTS:
-            print(key)
-        print("ablations")
-        print("all")
-        print("campaign")
-        print("parity")
-        print("check")
-        print("profile")
-        print("watch")
-        return 0
-
-    if name not in EXPERIMENTS and name not in ("all", "ablations"):
-        print(f"error: unknown experiment {name!r}; "
+def main(argv=None) -> int:
+    """CLI entry point; returns the process exit code."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
+        print(f"error: unknown experiment {argv[0]!r}; "
               f"try 'python -m repro list'", file=sys.stderr)
         return 2
-
+    parser, commands = _build_parser()
     try:
-        with _obs_session(args, scenario=name):
-            if name == "all":
-                for key, fn in EXPERIMENTS.items():
-                    _run_one(key, fn, args.seed, jobs=args.jobs,
-                             engine=args.engine, quiet=args.quiet)
-            elif name == "ablations":
-                for key, fn in ABLATIONS.items():
-                    _run_one(
-                        key,
-                        lambda seed, jobs=1, engine=None, f=fn:
-                            f(seed=seed, **_engine_kw(engine)),
-                        args.seed, engine=args.engine, quiet=args.quiet,
-                    )
-            else:
-                _run_one(name, EXPERIMENTS[name], args.seed, jobs=args.jobs,
-                         engine=args.engine, quiet=args.quiet)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    except BackendStartupError as exc:
-        print(f"error: backend startup: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return int(exc.code or 0)
+    with _restored_environ():
+        for dest, var in _FLAG_ENV.items():
+            if getattr(args, dest, None):
+                os.environ[var] = getattr(args, dest)
+        try:
+            return importlib.import_module(COMMANDS[args.command]).run(args)
+        except UsageError as exc:
+            with contextlib.suppress(SystemExit):
+                commands.choices[args.command].error(str(exc))
+            return 2
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return 130
+        except BackendStartupError as exc:
+            print(f"error: backend startup: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:
+            label = getattr(args, "experiment", args.command)
+            print(f"error: {label}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 1

@@ -14,7 +14,8 @@ Usage::
     python -m repro profile fig9 --engine fast     # + per-step-phase table
 
 ``--engine`` overrides the experiment's engine, exactly as for the plain
-subcommands.  For the vectorized engines (``fast``, ``ode``) it also
+subcommands, and takes the same choices.  ``--trace-out`` defaults to
+``profile_<experiment>.trace.json``.  For the vectorized engines (``fast``, ``ode``) it also
 enables their built-in phase stopwatch (``REPRO_PROFILE_PHASES``) and
 prints a per-step-phase wall-time table after the hot spots -- the
 engine-semantics view (arrivals/join/rates/heads/...) that cProfile's
@@ -35,16 +36,15 @@ event callback.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import os
 import pstats
-import sys
-from typing import Dict, List, Optional
+from typing import Dict
 
 import repro.obs as obs
+from repro.experiments.cli import EXPERIMENTS, FIGURES, _run_one, add_flags
 
-__all__ = ["main", "hotspot_table", "phase_table"]
+__all__ = ["configure", "run", "hotspot_table", "phase_table"]
 
 #: engines with a built-in step-phase stopwatch (module with
 #: PHASE_NAMES/PHASE_TOTALS/reset_phase_totals)
@@ -103,39 +103,23 @@ def hotspot_table(stats: pstats.Stats, *, top: int = 25,
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``python -m repro profile``."""
-    # late import: repro.experiments.cli imports this module's caller chain
-    from repro.experiments.cli import EXPERIMENTS, _run_one
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Run an experiment under cProfile: print a hot-spot "
-                    "table and write a Chrome trace (repro.obs exporter).",
-    )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS),
+def configure(parser) -> None:
+    parser.description = ("Run an experiment under cProfile: print a "
+                          "hot-spot table and write a Chrome trace "
+                          "(repro.obs exporter).")
+    parser.add_argument("experiment", choices=sorted(FIGURES),
                         help="experiment to profile")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root random seed (default 0)")
-    parser.add_argument("--engine", default=None,
-                        help="override the experiment's engine; for the "
-                             "vectorized engines (fast, ode) also print a "
-                             "per-step-phase timing breakdown")
+    add_flags(parser, "seed", "engine", "trace_out", "quiet")
     parser.add_argument("--top", type=int, default=25,
                         help="rows in the hot-spot table (default 25)")
     parser.add_argument("--sort", choices=_SORTS, default="tottime",
                         help="hot-spot table sort key (default tottime)")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="Chrome trace output path (default "
-                             "profile_<experiment>.trace.json)")
     parser.add_argument("--stats-out", metavar="PATH", default=None,
                         help="also dump raw pstats data to PATH")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the experiment's own rendered output")
-    args = parser.parse_args(argv)
 
+
+def run(args) -> int:
     trace_path = args.trace_out or f"profile_{args.experiment}.trace.json"
-    fn = EXPERIMENTS[args.experiment]
     profiler = cProfile.Profile()
     phase_mod = None
     if args.engine in _PHASE_MODULES:
@@ -146,22 +130,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         phase_mod = importlib.import_module(_PHASE_MODULES[args.engine])
         os.environ[PHASE_TIMING_ENV] = "1"
         phase_mod.reset_phase_totals()
-    try:
-        with obs.session(trace_path=trace_path, scenario=args.experiment,
-                         seed=args.seed):
-            profiler.enable()
-            try:
-                _run_one(args.experiment, fn, args.seed,
-                         engine=args.engine, quiet=True)
-            finally:
-                profiler.disable()
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    except Exception as exc:
-        print(f"error: {args.experiment}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+    with obs.session(trace_path=trace_path, scenario=args.experiment,
+                     seed=args.seed):
+        profiler.enable()
+        try:
+            _run_one(args.experiment, EXPERIMENTS[args.experiment],
+                     args.seed, engine=args.engine, quiet=True)
+        finally:
+            profiler.disable()
 
     stats = pstats.Stats(profiler)
     if args.stats_out:

@@ -12,46 +12,39 @@ Fig. 9 point from an overnight job into seconds::
     python -m repro run --engine fast --users 50000
     python -m repro run --scenario flash_crowd_storm --engine fast
 
-Exit codes follow the repo convention: 0 success, 1 engine/backend
-error, 2 usage error, 130 interrupted.
+Exit codes follow the repo convention (see :mod:`repro.experiments.cli`):
+0 success, 1 engine/backend error, 2 usage error, 130 interrupted.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from typing import Optional
 
-from repro.runtime.backends import BackendStartupError, available_engines
+from repro.experiments.cli import UsageError, add_flags
 
-__all__ = ["main"]
+__all__ = ["configure", "run"]
 
 
 def _build_scenario(args):
+    """The scenario to run, or ``None`` for an unknown preset name."""
     from repro.runtime.parity import _preset_scenarios
     from repro.workload.scenarios import steady_audience
 
     if args.scenario is not None:
-        presets = _preset_scenarios()
-        if args.scenario not in presets:
-            raise SystemExit(2)
-        return presets[args.scenario]()
+        factory = _preset_scenarios().get(args.scenario)
+        return factory() if factory is not None else None
     rate = args.users / args.horizon
     return steady_audience(
         rate_per_s=rate, horizon_s=args.horizon, n_servers=args.servers)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run",
-        description="Run one scenario on one engine and print the "
-                    "population metrics (defaults sized for the 1M-user "
-                    "mean-field demonstration).",
-    )
-    parser.add_argument("--engine", choices=available_engines(),
-                        default="ode",
-                        help="simulation engine (default ode)")
+def configure(parser) -> None:
+    parser.description = ("Run one scenario on one engine and print the "
+                          "population metrics (defaults sized for the "
+                          "1M-user mean-field demonstration).")
+    add_flags(parser, "engine", "seed")
+    parser.set_defaults(engine="ode")
     parser.add_argument("--users", type=int, default=1_000_000,
                         help="expected audience size for the synthetic "
                              "steady scenario (default 1000000)")
@@ -63,33 +56,23 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", default=None,
                         help="named preset instead of the synthetic "
                              "steady audience (one of the parity presets)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root random seed (default 0)")
-    args = parser.parse_args(argv)
 
+
+def run(args) -> int:
     if args.users < 1 or args.horizon <= 0 or args.servers < 0:
-        parser.error("--users/--horizon/--servers out of range")
+        raise UsageError("--users/--horizon/--servers out of range")
 
     from repro.runtime.driver import run_scenario
     from repro.runtime.parity import paper_metrics
 
-    try:
-        scenario = _build_scenario(args)
-    except SystemExit:
+    scenario = _build_scenario(args)
+    if scenario is None:
         print(f"run: unknown scenario {args.scenario!r}", file=sys.stderr)
         return 2
 
     t0 = time.perf_counter()  # repro: noqa[DET002] CLI elapsed-time display only
-    try:
-        result = run_scenario(scenario, seed=args.seed, engine=args.engine)
-    except BackendStartupError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("run: interrupted", file=sys.stderr)
-        return 130
+    result = run_scenario(scenario, seed=args.seed, engine=args.engine)
     wall = time.perf_counter() - t0  # repro: noqa[DET002] CLI elapsed-time display only
-
     print(f"run: {scenario.name} engine={args.engine} seed={args.seed} "
           f"horizon={scenario.horizon_s:.0f}s wall={wall:.2f}s")
     snap = result.metrics()

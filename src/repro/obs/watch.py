@@ -20,14 +20,14 @@ error, 130 interrupted.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["Snapshot", "render_snapshot", "iter_feed", "follow_feed", "main"]
+__all__ = ["Snapshot", "render_snapshot", "iter_feed", "follow_feed",
+           "configure", "run"]
 
 # counters whose per-second rate is the headline number, in preference
 # order (detailed engine first, then the fluid engine's step counter)
@@ -206,13 +206,9 @@ def watch_once(path: Path, *, stream=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """``python -m repro watch`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro watch",
-        description="Render the metrics JSONL feed of a running run or "
-                    "campaign (written by --metrics-out).",
-    )
+def configure(parser) -> None:
+    parser.description = ("Render the metrics JSONL feed of a running run "
+                          "or campaign (written by --metrics-out).")
     parser.add_argument("feed", help="metrics JSONL path to tail")
     parser.add_argument("--once", action="store_true",
                         help="render the latest snapshot and exit")
@@ -221,10 +217,10 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="give up after S seconds without progress "
                              "(default: wait forever)")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+
+
+def run(args) -> int:
+    """``python -m repro watch``."""
     if args.interval <= 0:
         print("error: watch: --interval must be positive", file=sys.stderr)
         return 2
@@ -235,13 +231,6 @@ def main(argv=None) -> int:
             return watch_once(path)
         return follow_feed(path, interval_s=args.interval,
                            timeout_s=args.timeout)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
     except OSError as exc:
         print(f"error: watch: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

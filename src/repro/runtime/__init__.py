@@ -17,7 +17,6 @@ Every figure, ablation and campaign run routes through this package;
 """
 
 from repro.runtime.backends import (
-    ENGINES,
     BackendStartupError,
     DetailedBackend,
     FluidBackend,
@@ -44,7 +43,6 @@ from repro.runtime.parity import (
 )
 
 __all__ = [
-    "ENGINES",
     "BackendStartupError",
     "register_backend",
     "available_engines",

@@ -43,15 +43,13 @@ precision claim.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.continuity import mean_continuity
 from repro.analysis.sessions import SessionTable
-from repro.runtime.backends import BackendStartupError, available_engines
+from repro.runtime.backends import available_engines
 from repro.runtime.driver import RuntimeResult, run_scenario
 from repro.telemetry.server import LogServer
 
@@ -63,7 +61,6 @@ __all__ = [
     "paper_metrics",
     "run_parity",
     "run_parity_suite",
-    "main",
 ]
 
 #: default relative tolerances per metric (documented in README
@@ -357,23 +354,17 @@ def _preset_scenarios() -> Dict[str, Callable]:
     }
 
 
-def main(argv=None) -> int:
-    """``python -m repro parity`` entry point.
+def configure(parser) -> None:
+    # late import: this module loads with repro.runtime, before the CLI
+    from repro.experiments.cli import add_flags
 
-    Exit codes: 0 parity holds, 1 out of tolerance (or runtime/startup
-    error), 2 usage error, 130 interrupted.
-    """
-    presets = _preset_scenarios()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro parity",
-        description="Run one scenario on two or three engines and compare "
-                    "paper-level metrics within calibrated tolerances.",
-    )
+    parser.description = ("Run one scenario on two or three engines and "
+                          "compare paper-level metrics within calibrated "
+                          "tolerances.")
     parser.add_argument("--scenario", default="steady_audience",
-                        choices=sorted(presets),
+                        choices=sorted(_preset_scenarios()),
                         help="scenario preset (default steady_audience)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root random seed (default 0)")
+    add_flags(parser, "seed")
     parser.add_argument("--engines", default="detailed,fast", metavar="A,B[,C]",
                         help="comma-separated engines to compare "
                              f"(from: {', '.join(available_engines())}; "
@@ -385,17 +376,25 @@ def main(argv=None) -> int:
                         help="relative tolerance for mean continuity")
     parser.add_argument("--tol-retry", type=float, default=None, metavar="F",
                         help="relative tolerance for retry-session fraction")
-    args = parser.parse_args(argv)
+
+
+def run(args) -> int:
+    """``python -m repro parity``.
+
+    Exit codes: 0 parity holds, 1 out of tolerance (or runtime/startup
+    error), 2 usage error, 130 interrupted.
+    """
+    from repro.experiments.cli import UsageError
 
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     engines = list(dict.fromkeys(engines))
     known = set(available_engines())
     unknown = [e for e in engines if e not in known]
     if unknown:
-        parser.error(f"unknown engine(s) {', '.join(unknown)}; "
-                     f"choose from: {', '.join(available_engines())}")
+        raise UsageError(f"unknown engine(s) {', '.join(unknown)}; "
+                         f"choose from: {', '.join(available_engines())}")
     if not 2 <= len(engines) <= 3:
-        parser.error("--engines needs two or three distinct engine names")
+        raise UsageError("--engines needs two or three distinct engine names")
 
     overrides: Dict[str, float] = {}
     if args.tol_peak is not None:
@@ -405,22 +404,8 @@ def main(argv=None) -> int:
     if args.tol_retry is not None:
         overrides["retry_session_fraction"] = args.tol_retry
 
-    try:
-        reports = run_parity_suite(
-            presets[args.scenario](), seed=args.seed,
-            engines=engines, tolerances=overrides or None)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    except BackendStartupError as exc:
-        print(f"error: backend startup: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"error: parity: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    reports = run_parity_suite(
+        _preset_scenarios()[args.scenario](), seed=args.seed,
+        engines=engines, tolerances=overrides or None)
     print("\n\n".join(r.render() for r in reports))
     return 0 if all(r.ok for r in reports) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,6 +7,7 @@ imports this as ``tests.campaign_helpers``; forked workers inherit it).
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -19,6 +20,15 @@ def quick_experiment(*, seed: int, offset: float = 0.0) -> FigureResult:
     fr.metrics["value"] = 10.0 + seed + offset
     fr.metrics["seed"] = float(seed)
     return fr
+
+
+def spill_probe_experiment(*, seed: int) -> FigureResult:
+    """Fails unless a log-spill root rides the environment into the run."""
+    from repro.telemetry.sink import SPILL_ENV_VAR
+
+    if not os.environ.get(SPILL_ENV_VAR):
+        raise RuntimeError(f"{SPILL_ENV_VAR} is not set inside the run")
+    return quick_experiment(seed=seed)
 
 
 def busy_experiment(*, seed: int, spin_s: float = 0.3) -> FigureResult:

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.cli import main
 
 QUICK = "tests.campaign_helpers:quick_experiment"
+SPILL_PROBE = "tests.campaign_helpers:spill_probe_experiment"
 
 
 @pytest.fixture
@@ -142,21 +143,29 @@ class TestCampaignStatusClean:
                        "--follow", "--interval", "0") == 2
         assert "--interval" in capsys.readouterr().err
 
-    def test_run_log_spill_flag_spills_run_logs(self, spec_file, tmp_path,
-                                                capsys, monkeypatch):
+    def test_run_log_spill_flag_spills_run_logs(self, tmp_path, capsys,
+                                                monkeypatch):
+        import os
+
         from repro.telemetry.sink import SPILL_ENV_VAR
 
         monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
-        store = tmp_path / "store"
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "name": "spill-test",
+            "entries": [{"experiment": SPILL_PROBE, "seeds": [0, 1, 2, 3]}],
+        }))
         spill = tmp_path / "spill"
-        assert run_cli("run", str(spec_file), "--store", str(store),
-                       "--jobs", "1", "--quiet",
-                       "--log-spill", str(spill)) == 0
-        assert "4 executed" in capsys.readouterr().out
-        # the flag reaches workers via the environment
-        import os
-        assert os.environ.get(SPILL_ENV_VAR) == str(spill)
-        monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
+        for jobs in ("1", "2"):
+            # the probe experiment fails unless the flag reaches every run
+            # (in-process and in workers) via the environment ...
+            assert run_cli("run", str(spec_file),
+                           "--store", str(tmp_path / f"store{jobs}"),
+                           "--jobs", jobs, "--quiet",
+                           "--log-spill", str(spill)) == 0
+            assert "4 executed" in capsys.readouterr().out
+            # ... and the environment is restored once the command returns
+            assert SPILL_ENV_VAR not in os.environ
 
     def test_clean_empties_store(self, spec_file, tmp_path, capsys):
         store = tmp_path / "store"

@@ -255,11 +255,17 @@ class TestLogSpillSpecKey:
         from repro.telemetry.sink import SPILL_ENV_VAR
 
         monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
-        spec = sweep("tests.campaign_helpers:quick_experiment",
+        # the probe experiment fails unless the spill root is exported
+        spec = sweep("tests.campaign_helpers:spill_probe_experiment",
                      seeds=[0], code_version=None)
         spec.log_spill = str(tmp_path / "spill")
         report = run_campaign(spec, store=None, jobs=1)
         assert report.failed == 0
         import os
 
-        assert os.environ[SPILL_ENV_VAR] == str(tmp_path / "spill")
+        # exported only while the runs execute: restored afterwards, to
+        # unset or to the caller's own value
+        assert SPILL_ENV_VAR not in os.environ
+        monkeypatch.setenv(SPILL_ENV_VAR, "/prior/spill")
+        assert run_campaign(spec, store=None, jobs=1).failed == 0
+        assert os.environ[SPILL_ENV_VAR] == "/prior/spill"

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.check import all_rules, check_paths, check_source
-from repro.check.cli import main as check_main
 from repro.check.engine import CheckError, parse_suppressions
 from repro.experiments.cli import main as repro_main
 
@@ -82,36 +81,36 @@ def _write(tmp_path: Path, name: str, body: str) -> str:
 
 def test_cli_exit_0_on_clean_tree(tmp_path, capsys):
     path = _write(tmp_path, "clean.py", "def f():\n    return 1\n")
-    assert check_main([path]) == 0
+    assert repro_main(["check", path]) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_exit_1_with_findings_text(tmp_path, capsys):
     path = _write(tmp_path, "dirty.py", VIOLATING)
-    assert check_main([path]) == 1
+    assert repro_main(["check", path]) == 1
     out = capsys.readouterr().out
     assert "DET001" in out and "dirty.py:4:" in out
 
 
 def test_cli_exit_2_on_bad_path(capsys):
-    assert check_main(["definitely/not/a/path.py"]) == 2
+    assert repro_main(["check", "definitely/not/a/path.py"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_cli_exit_2_on_syntax_error(tmp_path, capsys):
     path = _write(tmp_path, "broken.py", "def f(:\n")
-    assert check_main([path]) == 2
+    assert repro_main(["check", path]) == 2
     assert "cannot parse" in capsys.readouterr().err
 
 
 def test_cli_exit_2_on_unknown_rule(tmp_path, capsys):
     path = _write(tmp_path, "clean.py", "x = 1\n")
-    assert check_main([path, "--select", "NOPE"]) == 2
+    assert repro_main(["check", path, "--select", "NOPE"]) == 2
 
 
 def test_cli_json_schema(tmp_path, capsys):
     path = _write(tmp_path, "dirty.py", VIOLATING)
-    assert check_main([path, "--format", "json"]) == 1
+    assert repro_main(["check", path, "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == 2
     assert doc["files_checked"] == 1
@@ -128,13 +127,13 @@ def test_cli_json_schema(tmp_path, capsys):
 
 def test_cli_json_clean(tmp_path, capsys):
     path = _write(tmp_path, "clean.py", "x = 1\n")
-    assert check_main([path, "--format", "json"]) == 0
+    assert repro_main(["check", path, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["findings"] == [] and doc["counts"] == {}
 
 
 def test_cli_list_rules(capsys):
-    assert check_main(["--list-rules"]) == 0
+    assert repro_main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("DET001", "DET002", "DET003", "FLT001", "CFG001",
                  "ASY001", "ASY002", "ASY003", "SCH001", "SCH002",

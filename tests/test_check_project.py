@@ -13,9 +13,9 @@ import json
 from pathlib import Path
 
 from repro.check import check_paths, check_source, harvest_file
-from repro.check.cli import main as check_main
 from repro.check.engine import RULESET_VERSION, all_rules
 from repro.check.project import ProjectContext, module_of
+from repro.experiments.cli import main as repro_main
 
 REPO = Path(__file__).parent.parent
 REPORTS = REPO / "src" / "repro" / "telemetry" / "reports.py"
@@ -179,7 +179,7 @@ def test_sch002_is_warn_severity_and_does_not_gate_exit(tmp_path, capsys):
     assert [f.rule for f in report.findings] == ["SCH002"]
     assert report.findings[0].severity == "warn"
     assert report.exit_code == 0  # warn-only runs stay green
-    assert check_main([root]) == 0
+    assert repro_main(["check", root]) == 0
     assert "[warn]" in capsys.readouterr().out
 
 
@@ -306,9 +306,9 @@ def test_cache_invalidated_by_content_and_rule_set(tmp_path):
 def test_cli_cache_flag_round_trips(tmp_path, capsys):
     root = _tree_with_findings(tmp_path)
     cache_dir = str(tmp_path / "cache")
-    assert check_main([root, "--cache", cache_dir, "--output", "json"]) == 1
+    assert repro_main(["check", root, "--cache", cache_dir, "--output", "json"]) == 1
     first = json.loads(capsys.readouterr().out)
-    assert check_main([root, "--cache", cache_dir, "--output", "json"]) == 1
+    assert repro_main(["check", root, "--cache", cache_dir, "--output", "json"]) == 1
     second = json.loads(capsys.readouterr().out)
     assert first["findings"] == second["findings"]
     assert second["cache"]["hits"] == 3
@@ -318,7 +318,7 @@ def test_cli_cache_flag_round_trips(tmp_path, capsys):
 
 def test_sarif_document_shape(tmp_path, capsys):
     root = _tree_with_findings(tmp_path)
-    assert check_main([root, "--output", "sarif"]) == 1
+    assert repro_main(["check", root, "--output", "sarif"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     (run,) = doc["runs"]
@@ -341,6 +341,6 @@ def test_sarif_document_shape(tmp_path, capsys):
 def test_sarif_clean_run_has_no_results(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert check_main([str(clean), "--output", "sarif"]) == 0
+    assert repro_main(["check", str(clean), "--output", "sarif"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["runs"][0]["results"] == []

@@ -3,7 +3,13 @@
 import json
 
 
-from repro.experiments.cli import ABLATIONS, EXPERIMENTS, main
+from repro.experiments.cli import (
+    ABLATIONS,
+    COMMANDS,
+    EXPERIMENTS,
+    FIGURES,
+    main,
+)
 from repro.experiments.ablations import run_variant
 from repro.core.config import SystemConfig
 
@@ -12,7 +18,7 @@ class TestCli:
     def test_list_exits_zero(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in FIGURES:
             assert name in out
 
     def test_unknown_experiment(self, capsys):
@@ -45,6 +51,7 @@ class TestCli:
         def boom(seed):
             raise RuntimeError("synthetic failure")
         monkeypatch.setitem(EXPERIMENTS, "boom", boom)
+        monkeypatch.setitem(COMMANDS, "boom", "repro.experiments.cli")
         assert main(["boom"]) == 1
         err = capsys.readouterr().err
         assert "error: boom: RuntimeError: synthetic failure" in err

@@ -236,8 +236,8 @@ class TestRetryDeadlineRegression:
 
 class TestRunCli:
     def test_small_ode_run(self, capsys):
-        from repro.experiments.run_cli import main as run_main
-        rc = run_main(["--engine", "ode", "--users", "400",
+        from repro.experiments.cli import main
+        rc = main(["run", "--engine", "ode", "--users", "400",
                        "--horizon", "90", "--servers", "2"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -245,8 +245,8 @@ class TestRunCli:
         assert "engine snapshot" in out
 
     def test_unknown_scenario_is_usage_error(self, capsys):
-        from repro.experiments.run_cli import main as run_main
-        rc = run_main(["--scenario", "nope"])
+        from repro.experiments.cli import main
+        rc = main(["run", "--scenario", "nope"])
         assert rc == 2
         assert "unknown scenario" in capsys.readouterr().err
 

@@ -6,7 +6,8 @@ import pstats
 
 import pytest
 
-from repro.experiments.profile import hotspot_table, main
+from repro.experiments.cli import main
+from repro.experiments.profile import hotspot_table
 
 
 def _stats_of(fn):
@@ -39,15 +40,13 @@ class TestHotspotTable:
 
 class TestProfileCli:
     def test_unknown_experiment_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["not-an-experiment"])
-        assert exc.value.code == 2
+        assert main(["profile", "not-an-experiment"]) == 2
         capsys.readouterr()
 
     def test_profiles_experiment_and_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "model.trace.json"
         stats = tmp_path / "model.pstats"
-        rc = main(["model", "--quiet", "--top", "5",
+        rc = main(["profile", "model", "--quiet", "--top", "5",
                    "--trace-out", str(trace), "--stats-out", str(stats)])
         out = capsys.readouterr().out
         assert rc == 0

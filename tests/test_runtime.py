@@ -11,11 +11,11 @@ import pytest
 
 from repro.core.system import CoolstreamingSystem
 from repro.runtime import (
-    ENGINES,
     DetailedBackend,
     FluidBackend,
     StreamingBackend,
     build_backend,
+    resolve_backend,
     run_scenario,
     sample_workload,
 )
@@ -74,9 +74,8 @@ class TestSampleWorkload:
 
 class TestBuildBackend:
     def test_engine_registry(self):
-        assert set(ENGINES) == {"detailed", "fast"}
-        assert ENGINES["detailed"] is DetailedBackend
-        assert ENGINES["fast"] is FluidBackend
+        assert resolve_backend("detailed") is DetailedBackend
+        assert resolve_backend("fast") is FluidBackend
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

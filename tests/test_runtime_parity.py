@@ -13,7 +13,6 @@ from repro.runtime.parity import (
     ABSOLUTE_FLOOR,
     DEFAULT_TOLERANCES,
     MetricComparison,
-    main as parity_main,
     paper_metrics,
     run_parity,
 )
@@ -96,17 +95,16 @@ class TestRunParity:
 
 class TestParityCli:
     def test_unknown_scenario_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parity_main(["--scenario", "nope"])
-        assert exc.value.code == 2
-
-    def test_dispatch_from_repro_cli(self, capsys):
-        # `python -m repro parity` routes here before argparse
         from repro.experiments.cli import main as repro_main
 
-        with pytest.raises(SystemExit) as exc:
-            repro_main(["parity", "--scenario", "nope"])
-        assert exc.value.code == 2
+        assert repro_main(["parity", "--scenario", "nope"]) == 2
+
+    def test_dispatch_from_repro_cli(self, capsys):
+        # `python -m repro parity` is a row of the CLI command table
+        from repro.experiments.cli import main as repro_main
+
+        assert repro_main(["parity", "--engines", "warp,fast"]) == 2
+        assert "unknown engine(s) warp" in capsys.readouterr().err
 
 
 class TestCampaignEngineKey:
