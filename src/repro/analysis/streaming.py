@@ -19,7 +19,7 @@ same per-report statements in the very same encounter order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "PartnerEventsFold",
     "ConcurrentUsersFold",
     "JoinFunnelFold",
-    "fold_many",
 ]
 
 
@@ -286,9 +285,3 @@ class JoinFunnelFold(Fold):
         from repro.analysis.funnel import funnel_of_table
 
         return funnel_of_table(self._table.result())
-
-
-def fold_many(source, folds: Iterable[Fold]) -> Tuple:
-    """``fold_log`` with the folds given as an iterable (convenience for
-    callers assembling fold sets dynamically)."""
-    return fold_log(source, *folds)

@@ -186,14 +186,12 @@ def ablate_delivery_mode(*, seed: int = 0, engine: str = "detailed") -> FigureRe
         engine=engine,
     )
     # add the control-overhead comparison: pull requests vs subscriptions
-    from repro.workload.scenarios import flash_crowd_storm
-
     for name, mode in (("push (paper)", "push"), ("pull (DONet)", "pull")):
         scenario = flash_crowd_storm(
             burst_users_per_s=1.2, horizon_s=700.0, n_servers=2,
             cfg=base.with_overrides(delivery_mode=mode),
         )
-        system, _pop = scenario.run(seed=seed)
+        system = run_scenario(scenario, seed=seed).system
         if mode == "pull":
             msgs = sum(
                 p.pull_req.requests_sent

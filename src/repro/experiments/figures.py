@@ -40,7 +40,7 @@ from repro.analysis.contribution import (
 )
 from repro.core.config import SystemConfig
 from repro.experiments.render import FigureResult, render_series, render_table
-from repro.runtime import run_scenario
+from repro.runtime import build_backend, run_scenario
 from repro.workload.arrivals import FlashCrowd
 from repro.workload.scenarios import (
     Scenario,
@@ -132,12 +132,12 @@ def fig4_overlay_structure(
     """Fig. 4 (conceptual overlay) made quantitative: clogging under
     contributor parents, rarity of NAT<->NAT links, convergence over time."""
     scenario = steady_audience(rate_per_s=rate_per_s, horizon_s=horizon_s)
-    system, _pop = scenario.build(seed=seed)
+    backend = build_backend(scenario, seed=seed)
     snapshots = []
     t = snapshot_every_s
     while t <= horizon_s + 1e-9:
-        system.run(until=t)
-        snapshots.append(snapshot_overlay(system))
+        backend.run(t)
+        snapshots.append(snapshot_overlay(backend.system))
         t += snapshot_every_s
 
     result = FigureResult("Fig. 4", "Overlay structure statistics over time")

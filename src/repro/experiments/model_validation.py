@@ -30,6 +30,7 @@ from repro.model.dynamics import (
     degraded_rate,
     loss_time,
 )
+from repro.runtime import build_backend
 from repro.workload.scenarios import steady_audience
 
 __all__ = ["validate_dynamics_equations", "validate_convergence_model"]
@@ -177,12 +178,13 @@ def validate_convergence_model(
 ) -> FigureResult:
     """Measured contributor-parent fraction vs the Markov-chain transient."""
     scenario = steady_audience(rate_per_s=rate_per_s, horizon_s=horizon_s)
-    system, _pop = scenario.build(seed=seed)
+    backend = build_backend(scenario, seed=seed)
+    system = backend.system
     times: List[float] = []
     fractions: List[float] = []
     t = snapshot_every_s
     while t <= horizon_s + 1e-9:
-        system.run(until=t)
+        backend.run(t)
         snap = snapshot_overlay(system)
         times.append(t)
         fractions.append(snap.contributor_parent_fraction())

@@ -15,12 +15,15 @@ Usage::
 
 ``--engine`` overrides the experiment's engine, exactly as for the plain
 subcommands, and takes the same choices.  ``--trace-out`` defaults to
-``profile_<experiment>.trace.json``.  For the vectorized engines (``fast``, ``ode``) it also
-enables their built-in phase stopwatch (``REPRO_PROFILE_PHASES``) and
-prints a per-step-phase wall-time table after the hot spots -- the
-engine-semantics view (arrivals/join/rates/heads/...) that cProfile's
-per-function ranking cannot give, and the tool that explains
-non-monotonic peer-steps/s in BENCH_scale.json.
+``profile_<experiment>.trace.json``.  The run happens inside a
+:mod:`repro.obs` session, so the vectorized engines (``fast``, ``ode``)
+write each step phase's wall time into registry timers
+(``fastsim.phase.<phase>``, ``ode.phase.<phase>``); after the hot spots
+the command prints those timers as a per-step-phase table, phases in
+execution order -- the engine-semantics view
+(arrivals/join/rates/heads/...) that cProfile's per-function ranking
+cannot give, and the tool that explains non-monotonic peer-steps/s in
+BENCH_scale.json.
 
 The hot-spot table reports, per call site (``file:line(function)``):
 call count, total internal time, per-call internal time, cumulative time
@@ -37,29 +40,33 @@ event callback.
 from __future__ import annotations
 
 import cProfile
-import os
 import pstats
 from typing import Dict
 
 import repro.obs as obs
 from repro.experiments.cli import EXPERIMENTS, FIGURES, _run_one, add_flags
 
-__all__ = ["configure", "run", "hotspot_table", "phase_table"]
-
-#: engines with a built-in step-phase stopwatch (module with
-#: PHASE_NAMES/PHASE_TOTALS/reset_phase_totals)
-_PHASE_MODULES = {
-    "fast": "repro.fastsim.engine",
-    "ode": "repro.model.meanfield",
-}
+__all__ = ["configure", "run", "hotspot_table", "phase_table",
+           "step_phase_totals"]
 
 
-def phase_table(totals: Dict[str, float], order: tuple) -> str:
-    """Format a per-step-phase wall-time breakdown."""
+def step_phase_totals(registry) -> Dict[str, Dict[str, float]]:
+    """``{timer prefix: {phase: seconds}}`` from the step-phase timers
+    (``<engine>.phase.<phase>``) in ``registry``, phases in registration
+    order, which is the step's execution order."""
+    tables: Dict[str, Dict[str, float]] = {}
+    for name, timer in registry.timers().items():
+        head, sep, phase = name.partition(".phase.")
+        if sep:
+            tables.setdefault(f"{head}.phase", {})[phase] = timer.total_s
+    return tables
+
+
+def phase_table(totals: Dict[str, float]) -> str:
+    """Format a per-step-phase wall-time breakdown (rows in dict order)."""
     total = sum(totals.values())
     lines = [f"{'phase':<14}{'seconds':>10}  {'share':>6}"]
-    for name in order:
-        sec = totals.get(name, 0.0)
+    for name, sec in totals.items():
         share = 100.0 * sec / total if total else 0.0
         lines.append(f"{name:<14}{sec:>10.3f}  {share:>5.1f}%")
     lines.append(f"{'total':<14}{total:>10.3f}")
@@ -121,17 +128,8 @@ def configure(parser) -> None:
 def run(args) -> int:
     trace_path = args.trace_out or f"profile_{args.experiment}.trace.json"
     profiler = cProfile.Profile()
-    phase_mod = None
-    if args.engine in _PHASE_MODULES:
-        import importlib
-
-        from repro.fastsim.engine import PHASE_TIMING_ENV
-
-        phase_mod = importlib.import_module(_PHASE_MODULES[args.engine])
-        os.environ[PHASE_TIMING_ENV] = "1"
-        phase_mod.reset_phase_totals()
     with obs.session(trace_path=trace_path, scenario=args.experiment,
-                     seed=args.seed):
+                     seed=args.seed) as ctx:
         profiler.enable()
         try:
             _run_one(args.experiment, EXPERIMENTS[args.experiment],
@@ -146,11 +144,11 @@ def run(args) -> int:
         print(f"== hot spots: {args.experiment} (seed {args.seed}, "
               f"sorted by {args.sort}) ==")
     print(hotspot_table(stats, top=args.top, sort=args.sort))
-    if phase_mod is not None:
+    for prefix, totals in step_phase_totals(ctx.registry).items():
         print()
-        print(f"== step phases: engine {args.engine} "
+        print(f"== step phases: {prefix}.* "
               f"(real wall time inside step(), cProfile overhead "
               f"included) ==")
-        print(phase_table(phase_mod.PHASE_TOTALS, phase_mod.PHASE_NAMES))
+        print(phase_table(totals))
     print(f"[chrome trace written to {trace_path}]")
     return 0

@@ -37,16 +37,15 @@ One step of length ``dt``, every phase batched over the population
    peer's 5-minute phase, to a standard :class:`LogServer`.  Per-event
    Python cost is O(events), never O(population).
 
-Set ``REPRO_PROFILE_PHASES=1`` (or flip :attr:`FastSimulation.
-phase_timing`) to accumulate per-phase wall-clock into
-:data:`PHASE_TOTALS` -- ``python -m repro profile --engine fast`` uses
-this for its phase breakdown table.
+Inside a :mod:`repro.obs` session each step also writes the wall time
+of every phase into registry timers ``fastsim.phase.<phase>``, in
+execution order -- ``python -m repro profile`` prints them as its
+step-phase table.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -55,6 +54,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.obs import context as _obs_context
+from repro.obs import step_phases
 from repro.network.capacity import CapacityModel
 from repro.network.connectivity import ConnectivityClass, ConnectivityMix
 from repro.sim.rng import RngHub
@@ -68,13 +68,7 @@ from repro.telemetry.reports import (
 )
 from repro.telemetry.server import LogServer
 
-__all__ = [
-    "FastSimConfig",
-    "FastSimulation",
-    "PHASE_NAMES",
-    "PHASE_TOTALS",
-    "reset_phase_totals",
-]
+__all__ = ["FastSimConfig", "FastSimulation"]
 
 # lifecycle states
 _EMPTY, _JOINING, _BUFFERING, _PLAYING, _LEFT = 0, 1, 2, 3, 4
@@ -84,25 +78,6 @@ _CONTRIBUTOR = {
     int(ConnectivityClass.UPNP),
     int(ConnectivityClass.SERVER),
 }
-
-#: Step phases, in execution order (keys of the timing breakdown).
-PHASE_NAMES: Tuple[str, ...] = (
-    "arrivals", "join", "rates", "heads", "playback", "ready",
-    "adaptation", "departures", "reports",
-)
-
-#: Process-wide per-phase wall-clock accumulator (seconds), fed by every
-#: :class:`FastSimulation` whose ``phase_timing`` is on.
-PHASE_TOTALS: Dict[str, float] = {}
-
-#: Environment switch for phase timing (any non-empty value enables it).
-PHASE_TIMING_ENV = "REPRO_PROFILE_PHASES"
-
-
-def reset_phase_totals() -> None:
-    """Zero the process-wide phase-timing accumulator."""
-    PHASE_TOTALS.clear()
-
 
 @dataclass(frozen=True)
 class FastSimConfig:
@@ -157,26 +132,15 @@ class FastSimulation:
         self.now = 0.0
         self.steps_run = 0
 
-        # opt-in per-phase wall-clock accounting (profile CLI breakdown)
-        self.phase_timing = bool(os.environ.get(PHASE_TIMING_ENV))
-        self.phase_seconds: Dict[str, float] = {}
-
         # observability: auto-attach to an active repro.obs session; the
-        # step keeps a single ``is None`` guard per instrumented block, so
-        # a disabled run executes no metrics code at all
+        # step keeps a single ``is None`` guard per instrumented block and
+        # marks its phases into a no-op, so a disabled run executes no
+        # metrics code at all
         self._obs = _obs_context.current()
         if self._obs is not None:
-            self._obs.note_seed(seed)
-            self._obs.note_config(self.cfg)
-            self._obs.note_config(self.fast)
-            if (self._obs.progress is not None
-                    and self._obs.progress.live_peers_fn is None):
-                self._obs.progress.live_peers_fn = lambda: self.concurrent_users
-            if "run.live_peers" not in self._obs.gauge_providers:
-                self._obs.register_gauge_provider(
-                    "run.live_peers", lambda: self.concurrent_users)
-                self._obs.register_gauge_provider(
-                    "run.mean_continuity", self.mean_continuity)
+            self._obs.attach_run(seed, (self.cfg, self.fast),
+                                 lambda: self.concurrent_users,
+                                 self.mean_continuity)
 
         k = self.cfg.n_substreams
         n0 = max(64, int(capacity_hint))
@@ -244,14 +208,6 @@ class FastSimulation:
     def detach_obs(self) -> None:
         """Remove instrumentation from this simulation."""
         self._obs = None
-
-    def _mark_phase(self, name: str, t0: float) -> float:
-        """Charge the wall-clock since ``t0`` to phase ``name``."""
-        t1 = perf_counter()  # repro: noqa[DET002] opt-in phase-timing instrumentation only
-        span = t1 - t0
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + span
-        PHASE_TOTALS[name] = PHASE_TOTALS.get(name, 0.0) + span
-        return t1
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -605,8 +561,7 @@ class FastSimulation:
         """Advance the simulation by one time step."""
         _obs = self._obs
         _t0 = perf_counter() if _obs is not None else 0.0  # repro: noqa[DET002] obs step-timer instrumentation only
-        timing = self.phase_timing
-        _pt = perf_counter() if timing else 0.0  # repro: noqa[DET002] opt-in phase-timing instrumentation only
+        mark = step_phases(_obs, "fastsim.phase")
         dt = self.fast.dt
         cfg = self.cfg
         k = self.k
@@ -635,8 +590,7 @@ class FastSimulation:
                     np.asarray(atts, dtype=np.int64),
                     np.asarray(deps, dtype=np.float64),
                 )
-        if timing:
-            _pt = self._mark_phase("arrivals", _pt)
+        mark("arrivals")
 
         # 2. join pipeline -----------------------------------------------------
         joining = np.nonzero(self.state == _JOINING)[0]
@@ -693,8 +647,7 @@ class FastSimulation:
                                 int(slot), ActivityEvent.START_SUBSCRIPTION)
                     short = sel[filled < want.sum(axis=1)]
                     self.next_try[short] = now + cfg.bm_exchange_period_s
-        if timing:
-            _pt = self._mark_phase("join", _pt)
+        mark("join")
 
         # 3. rates ------------------------------------------------------------------
         active = (self.state == _BUFFERING) | (self.state == _PLAYING)
@@ -725,8 +678,7 @@ class FastSimulation:
             rate_flat = np.where(is_catchup, np.minimum(conn_level, c),
                                  np.minimum(conn_level, 1.0))
             rate_flat = np.maximum(0.0, rate_flat)
-        if timing:
-            _pt = self._mark_phase("rates", _pt)
+        mark("rates")
 
         # 4. advance heads ------------------------------------------------------------
         H_prev = self.H.copy()
@@ -753,8 +705,7 @@ class FastSimulation:
         # servers track the live edge directly (fed by the source off-model)
         edge = max(0.0, (now + dt) - 1.0)
         self.H[: self.n_servers, :] = edge
-        if timing:
-            _pt = self._mark_phase("heads", _pt)
+        mark("heads")
 
         # 5. playback -----------------------------------------------------------------
         playing = self.state == _PLAYING
@@ -775,8 +726,7 @@ class FastSimulation:
             self.win_missed[prows] += miss
             self.watch_due[prows] += due
             self.watch_missed[prows] += miss
-        if timing:
-            _pt = self._mark_phase("playback", _pt)
+        mark("playback")
 
         # 6. ready check --------------------------------------------------------------
         buffering = np.nonzero(self.state == _BUFFERING)[0]
@@ -790,8 +740,7 @@ class FastSimulation:
                 self.q[ready_rows] = self.start_idx[ready_rows]
                 for slot in ready_rows:
                     self._activity(int(slot), ActivityEvent.PLAYER_READY)
-        if timing:
-            _pt = self._mark_phase("ready", _pt)
+        mark("ready")
 
         # 7. adaptation ---------------------------------------------------------------
         # each peer re-evaluates Inequalities (1)/(2) once per buffer-map
@@ -900,8 +849,7 @@ class FastSimulation:
                 if _obs is not None:
                     _obs.registry.counter("fastsim.adaptations").inc(
                         int(rows_fix.size))
-        if timing:
-            _pt = self._mark_phase("adaptation", _pt)
+        mark("adaptation")
 
         # 8. departures ----------------------------------------------------------------
         active_or_joining = self.state != _EMPTY
@@ -948,8 +896,7 @@ class FastSimulation:
                 self.watch_missed[check] = 0.0
                 if stalled.size:
                     self._leave_batch(stalled, LeaveReason.FAILURE)
-        if timing:
-            _pt = self._mark_phase("departures", _pt)
+        mark("departures")
 
         # 9. status reports ---------------------------------------------------------------
         period = cfg.status_report_period_s
@@ -962,8 +909,7 @@ class FastSimulation:
             ]
             for slot in fires:
                 self._send_status(int(slot))
-        if timing:
-            self._mark_phase("reports", _pt)
+        mark("reports")
 
         self.now = now + dt
         self.steps_run += 1

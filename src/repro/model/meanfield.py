@@ -63,22 +63,27 @@ bands), no heavy-tailed outliers.  Expect tight agreement on
 population-scale metrics (peak audience, mean continuity) and only
 order-of-magnitude agreement on tail statistics (retries, stalls) --
 exactly the split the parity tolerance bands encode.
+
+Inside a :mod:`repro.obs` session the backend attaches itself, and each
+step writes the wall time of its phases (forcing, waterfill, continuity,
+transitions, traffic, departures, reports) into registry timers
+``ode.phase.<phase>`` -- the step-phase table of ``python -m repro
+profile``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fastsim import FastSimConfig
-from repro.fastsim.engine import PHASE_TIMING_ENV
 from repro.model.dynamics import abandon_time, catchup_time
 from repro.network.capacity import CapacityModel
 from repro.network.connectivity import ConnectivityClass, ConnectivityMix
+from repro.obs import context as _obs_context
+from repro.obs import step_phases
 from repro.sim.rng import RngHub
 from repro.telemetry.reports import (
     ActivityEvent,
@@ -90,28 +95,7 @@ from repro.telemetry.reports import (
 )
 from repro.telemetry.server import LogServer
 
-__all__ = [
-    "MeanFieldConfig",
-    "MeanFieldBackend",
-    "PHASE_NAMES",
-    "PHASE_TOTALS",
-    "reset_phase_totals",
-]
-
-#: step phases, in execution order (``--engine ode`` profile breakdown)
-PHASE_NAMES: Tuple[str, ...] = (
-    "forcing", "waterfill", "continuity", "transitions",
-    "traffic", "departures", "reports",
-)
-
-#: cumulative wall seconds per phase, across every backend instance in
-#: this process; populated only when ``REPRO_PROFILE_PHASES`` is set
-PHASE_TOTALS: Dict[str, float] = {}
-
-
-def reset_phase_totals() -> None:
-    """Clear the module-level phase accumulator."""
-    PHASE_TOTALS.clear()
+__all__ = ["MeanFieldConfig", "MeanFieldBackend"]
 
 # panel member stages
 _PENDING, _JOINING, _BUFFERING, _PLAYING, _RETRY_WAIT, _LEFT = 0, 1, 2, 3, 4, 5
@@ -161,8 +145,13 @@ class MeanFieldBackend:
         self.log = LogServer()
         self.now = 0.0
         self.steps_run = 0
-        self.phase_timing = bool(os.environ.get(PHASE_TIMING_ENV))
-        self.phase_seconds: Dict[str, float] = {}
+        # observability: auto-attach to an active repro.obs session (the
+        # step then writes its phase wall times into ode.phase.* timers)
+        self._obs = _obs_context.current()
+        if self._obs is not None:
+            self._obs.attach_run(seed, (self.cfg, self.ode),
+                                 lambda: self.concurrent_users,
+                                 self.mean_continuity)
 
         cfg = self.cfg
         # class-stratified mean-field supply parameters: mean upload in
@@ -329,13 +318,6 @@ class MeanFieldBackend:
         np_ = int((self.stage == _PLAYING).sum())
         return nj, nb, np_
 
-    def _mark_phase(self, name: str, t0: float) -> float:
-        t1 = perf_counter()  # repro: noqa[DET002] opt-in phase timing only
-        dt = t1 - t0
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + dt
-        PHASE_TOTALS[name] = PHASE_TOTALS.get(name, 0.0) + dt
-        return t1
-
     def _step(self) -> None:
         cfg = self.cfg
         ode = self.ode
@@ -343,9 +325,7 @@ class MeanFieldBackend:
         now = self.now
         k = cfg.n_substreams
         w = self._weight
-        timing = self.phase_timing
-        if timing:
-            _pt = perf_counter()  # repro: noqa[DET002] opt-in phase timing only
+        mark = step_phases(self._obs, "ode.phase")
 
         # 1. arrivals / retries (forcing) ---------------------------------
         ptr = self._arrival_ptr
@@ -367,8 +347,7 @@ class MeanFieldBackend:
             dead = due_retry[self.deadline[due_retry] <= now]
             self.stage[dead] = _LEFT
             self._join(live)
-        if timing:
-            _pt = self._mark_phase("forcing", _pt)
+        mark("forcing")
 
         # 2. population water-fill (the fluid engines' two-tier closed
         #    form in the mean-field limit) -------------------------------
@@ -389,8 +368,7 @@ class MeanFieldBackend:
             level = ode.catchup_factor
         r_play = max(0.0, min(level, 1.0))
         r_buf = max(0.0, min(level, ode.catchup_factor))
-        if timing:
-            _pt = self._mark_phase("waterfill", _pt)
+        mark("waterfill")
 
         # 3. continuity + deficit ODE (Eqs. 3/5 in the limit) ------------
         c_inst = r_play                   # degraded-rate continuity
@@ -406,8 +384,7 @@ class MeanFieldBackend:
         if np_:
             self._play_time += dt
             self._cont_play_integral += c_inst * dt
-        if timing:
-            _pt = self._mark_phase("continuity", _pt)
+        mark("continuity")
 
         # 4. stage transitions -------------------------------------------
         joining = np.nonzero(self.stage == _JOINING)[0]
@@ -431,8 +408,7 @@ class MeanFieldBackend:
                 self.watch_t0[ready] = now
                 for i in ready:
                     self._activity(int(i), ActivityEvent.PLAYER_READY)
-        if timing:
-            _pt = self._mark_phase("transitions", _pt)
+        mark("transitions")
 
         # 5. traffic integrals (population shares) -----------------------
         active_play = np.nonzero(self.stage == _PLAYING)[0]
@@ -448,8 +424,7 @@ class MeanFieldBackend:
                 cls_w = self._class_supply_for(self.cls[active_play]) / mean_cs
                 self.bits_up[active_play] += (
                     per_peer * cls_w * cfg.block_bits * dt)
-        if timing:
-            _pt = self._mark_phase("traffic", _pt)
+        mark("traffic")
 
         # 6. departures ---------------------------------------------------
         act = np.nonzero((self.stage == _JOINING) | (self.stage == _BUFFERING)
@@ -494,8 +469,7 @@ class MeanFieldBackend:
                 self.watch_t0[check] = now
                 if stalled.size:
                     self._leave(stalled, LeaveReason.FAILURE, retry=True)
-        if timing:
-            _pt = self._mark_phase("departures", _pt)
+        mark("departures")
 
         # 7. status reports ----------------------------------------------
         period = cfg.status_report_period_s
@@ -509,8 +483,7 @@ class MeanFieldBackend:
                           & (age >= dt)]
             for i in fires:
                 self._send_status(int(i))
-        if timing:
-            self._mark_phase("reports", _pt)
+        mark("reports")
 
         self.now = now + dt
         self.steps_run += 1

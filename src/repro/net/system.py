@@ -151,14 +151,7 @@ class NetSystem:
 
         _ctx = _obs_context.current()
         if _ctx is not None:
-            _ctx.note_seed(seed)
-            _ctx.note_config(self.cfg)
-            if (_ctx.progress is not None
-                    and _ctx.progress.live_peers_fn is None):
-                _ctx.progress.live_peers_fn = lambda: self.concurrent_users
-            if "run.live_peers" not in _ctx.gauge_providers:
-                _ctx.register_gauge_provider(
-                    "run.live_peers", lambda: self.concurrent_users)
+            _ctx.attach_run(seed, (self.cfg,), lambda: self.concurrent_users)
 
         self._nodes: Dict[int, object] = {}
         self._next_node_id = 1000

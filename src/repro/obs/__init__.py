@@ -53,6 +53,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    StepPhases,
     Timer,
     render_prometheus,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "BatchedCounter", "Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry",
     "NullRegistry", "NULL_REGISTRY", "DEFAULT_TIME_BUCKETS_S",
     "render_prometheus", "ProgressReporter", "TraceCollector",
-    "inc", "observe", "set_gauge", "enabled",
+    "StepPhases", "inc", "observe", "set_gauge", "enabled", "step_phases",
 ]
 
 
@@ -104,3 +105,17 @@ def set_gauge(name: str, value: float) -> None:
     ctx = current()
     if ctx is not None:
         ctx.registry.gauge(name).set(value)
+
+
+def _no_phase(phase: str) -> None:
+    """Phase marker of an uninstrumented engine: does nothing."""
+
+
+def step_phases(ctx: ObsContext | None, prefix: str):
+    """The step-phase marker for one engine step.
+
+    With an attached context, a :class:`StepPhases` writing the wall time
+    of each phase into registry timers ``<prefix>.<phase>``; without one,
+    a no-op, so a step marks its phases unconditionally.
+    """
+    return _no_phase if ctx is None else StepPhases(ctx.registry, prefix)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.obs.exporters import JsonlMetricsWriter
 from repro.obs.manifest import RunManifest, manifest_path_for, peak_rss_bytes
@@ -72,14 +72,28 @@ class ObsContext:
             peak_rss_bytes() / (1024.0 * 1024.0)
         )
 
-    # convenience pass-throughs used by instrumented call sites
-    def note_config(self, cfg) -> None:
-        """Record a config fingerprint in the run manifest."""
-        self.manifest.note_config(cfg)
-
-    def note_seed(self, seed: int) -> None:
-        """Record the root seed in the run manifest."""
+    def attach_run(
+        self,
+        seed: int,
+        configs: Iterable[object],
+        live_peers: Callable[[], float],
+        mean_continuity: Optional[Callable[[], float]] = None,
+    ) -> None:
+        """Register an engine built inside this session: its seed and
+        config fingerprints go into the manifest, and its live-peer count
+        (plus running continuity, when given) feeds the progress
+        heartbeat and the ``run.*`` gauges.  The first engine of a
+        session keeps the heartbeat and the gauges."""
         self.manifest.note_seed(seed)
+        for cfg in configs:
+            self.manifest.note_config(cfg)
+        if self.progress is not None and self.progress.live_peers_fn is None:
+            self.progress.live_peers_fn = live_peers
+        if "run.live_peers" not in self.gauge_providers:
+            self.register_gauge_provider("run.live_peers", live_peers)
+            if mean_continuity is not None:
+                self.register_gauge_provider("run.mean_continuity",
+                                             mean_continuity)
 
 
 # the single ambient context (None = observability off)

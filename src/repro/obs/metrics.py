@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
+from time import perf_counter
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
+    "StepPhases",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -202,13 +204,35 @@ class Timer:
         return self.hist.total
 
     def __enter__(self) -> "Timer":
-        from time import perf_counter
         self._t0 = perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        from time import perf_counter
         self.hist.observe(perf_counter() - self._t0)
+
+
+class StepPhases:
+    """Step-phase stopwatch: each call charges the wall time since the
+    previous call (or construction) to the timer ``<prefix>.<phase>``.
+
+    A vectorized engine builds one per step and calls it at the end of
+    every phase.  Timers register on first use, so
+    :meth:`MetricsRegistry.timers` lists a step's phases in execution
+    order.
+    """
+
+    __slots__ = ("_registry", "_prefix", "_t")
+
+    def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
+        self._registry = registry
+        self._prefix = prefix
+        self._t = perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        span = perf_counter() - self._t
+        self._registry.timer(f"{self._prefix}.{phase}").observe(span)
+        # restart after the bookkeeping, so no phase is charged for it
+        self._t = perf_counter()
 
 
 class MetricsRegistry:
@@ -283,6 +307,11 @@ class MetricsRegistry:
     def metrics(self) -> List[object]:
         """All registered metrics, sorted by name."""
         return [self._metrics[k] for k in sorted(self._metrics)]
+
+    def timers(self) -> Dict[str, Timer]:
+        """``name -> timer`` for every timer, in registration order."""
+        return {name: m for name, m in self._metrics.items()
+                if isinstance(m, Timer)}
 
     def counter_values(self) -> Dict[str, int]:
         """``name -> value`` for counters only -- the deterministic subset

@@ -12,8 +12,7 @@ One driving surface over both simulation engines:
 * :func:`run_parity` / ``python -m repro parity`` -- cross-engine
   consistency checks on paper-level metrics.
 
-Every figure, ablation and campaign run routes through this package;
-``Scenario.build``/``Scenario.run`` are thin shims over it.
+Every figure, ablation and campaign run routes through this package.
 """
 
 from repro.runtime.backends import (

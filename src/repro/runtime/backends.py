@@ -100,8 +100,8 @@ class DetailedBackend:
     Construction wires nothing: the population is materialized lazily so
     program endings registered after :meth:`apply_workload` still land in
     the :class:`~repro.workload.sessions.ProgramSchedule` the population
-    is attached with -- exactly how ``Scenario.build`` always wired it,
-    keeping event scheduling order (hence runs) bit-identical.
+    is attached with, keeping event scheduling order (hence runs)
+    bit-identical to the historical inline wiring.
     """
 
     name = "detailed"

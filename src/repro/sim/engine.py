@@ -136,9 +136,12 @@ class Engine:
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the heap is empty."""
         heap = self._heap
+        dropped = 0
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-            self.events_cancelled += 1
+            dropped += 1
+        if dropped:
+            self._count_cancelled(dropped)
         return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
@@ -194,8 +197,16 @@ class Engine:
         # in-place rebuild: the run loops hold a reference to this list
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
-        self.events_cancelled += dead
+        self._count_cancelled(dead)
         self.heap_compactions += 1
+
+    def _count_cancelled(self, n: int) -> None:
+        """Account ``n`` cancelled entries dropped outside the run loops
+        (which count their own pops), in the attribute and, when
+        instrumented, in the exported ``engine.events_cancelled``."""
+        self.events_cancelled += n
+        if self._obs is not None:
+            self._obs.registry.counter("engine.events_cancelled").inc(n)
 
     def _bucket_for(self, period: float, time: float) -> "_TimerBucket":
         """Find or create the shared periodic-timer bucket firing at
@@ -245,7 +256,9 @@ class Engine:
             if self._obs is None:
                 self._loop(until, max_events)
             else:
-                self._loop_observed(until, max_events)
+                # tracing sessions time every event, metrics-only ones 1 in 64
+                mask = 0 if self._obs.trace is not None else 0x3F
+                self._loop_observed(until, max_events, mask)
         finally:
             self._running = False
         if until is not None and not self._stopped and self.now < until:
@@ -284,26 +297,25 @@ class Engine:
             if self._stopped:
                 break
 
-    def _loop_observed(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Instrumented twin of :meth:`_loop`.
+    def _loop_observed(self, until: Optional[float], max_events: Optional[int],
+                       mask: int) -> None:
+        """The one instrumented twin of :meth:`_loop`.
 
-        Two tiers share the same counters and names.  Tracing sessions run
-        the full-fidelity loop (:meth:`_loop_traced`): per-event timers,
-        trace spans, per-event heap gauges.  Metrics-only sessions run a
-        cheap loop: batched per-event counters (exact totals, flushed at
-        every snapshot boundary) plus *sampled* wall-time/heap-depth
-        instrumentation on one event in 64 -- the expensive reads
-        (``perf_counter`` pairs, ``__qualname__`` lookups) that dominated
-        the enabled-mode overhead.  Sampling is by deterministic event
-        index, so counters -- the seed-determinism subset -- stay exact.
-        Simulation behaviour (event order, clock, RNG) is bit-identical to
-        the plain loop in both tiers: instrumentation only reads.
+        Per-event counters are batched (exact totals, flushed at every
+        snapshot boundary and when the loop exits).  The expensive reads
+        -- a ``perf_counter`` pair, the ``__qualname__`` site lookup, the
+        heap-depth gauges and, in tracing sessions, one Chrome trace span
+        -- run only on events whose index has no bit of ``mask`` set:
+        metrics-only sessions pass ``0x3F`` (one event in 64, the first
+        always included), tracing sessions pass ``0`` (every event).
+        Sampling is by deterministic event index, so counters -- the
+        seed-determinism subset -- stay exact.  Simulation behaviour
+        (event order, clock, RNG) is bit-identical to the plain loop:
+        instrumentation only reads.
         """
         ctx = self._obs
-        if ctx.trace is not None:
-            self._loop_traced(until, max_events)
-            return
         reg = ctx.registry
+        trace = ctx.trace
         progress = ctx.progress
         c_exec = reg.batched_counter("engine.events_executed")
         c_cancel = reg.batched_counter("engine.events_cancelled")
@@ -334,7 +346,7 @@ class Engine:
                 ev._engine = None
                 self.now = time
                 fn = ev.fn
-                if fired & 0x3F:
+                if fired & mask:
                     # unsampled fast path: clock read and site lookup skipped
                     fn()
                 else:
@@ -350,6 +362,9 @@ class Engine:
                     depth = len(heap)
                     g_heap.set(depth)
                     g_heap_max.max(depth)
+                    if trace is not None:
+                        trace.complete(site, trace.rel_us(t0), dur * 1e6,
+                                       cat="engine", sim_time=self.now)
                 fired += 1
                 self.events_processed += 1
                 c_exec.pending += 1
@@ -360,65 +375,6 @@ class Engine:
         finally:
             # exact totals even if a callback raised mid-loop
             reg.flush_batched()
-
-    def _loop_traced(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Full-fidelity instrumented loop for tracing sessions.
-
-        Adds per-event counters, a heap-depth gauge, per-callback-site
-        wall-time timers, Chrome trace spans and the progress heartbeat.
-        """
-        ctx = self._obs
-        reg = ctx.registry
-        trace = ctx.trace
-        progress = ctx.progress
-        c_exec = reg.counter("engine.events_executed")
-        c_cancel = reg.counter("engine.events_cancelled")
-        g_heap = reg.gauge("engine.heap_depth")
-        g_heap_max = reg.gauge("engine.heap_depth_max")
-        site_timers: dict = {}
-        fired = 0
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            ev = entry[2]
-            if ev.cancelled:
-                pop(heap)
-                self.events_cancelled += 1
-                c_cancel.inc()
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            pop(heap)
-            self._live -= 1
-            ev._engine = None
-            self.now = time
-            fn = ev.fn
-            t0 = perf_counter()  # repro: noqa[DET002] obs event-timer instrumentation only
-            fn()
-            dur = perf_counter() - t0  # repro: noqa[DET002] obs event-timer instrumentation only
-            fired += 1
-            self.events_processed += 1
-            c_exec.inc()
-            depth = len(heap)
-            g_heap.set(depth)
-            g_heap_max.max(depth)
-            site = getattr(fn, "__qualname__", None) or type(fn).__name__
-            timer = site_timers.get(site)
-            if timer is None:
-                timer = reg.timer(f"engine.callback.{site}")
-                site_timers[site] = timer
-            timer.observe(dur)
-            if trace is not None:
-                trace.complete(site, trace.rel_us(t0), dur * 1e6,
-                               cat="engine", sim_time=self.now)
-            if progress is not None and not (fired & 0x3FF):
-                progress.maybe_beat(self.now, self.events_processed)
-            if self._stopped:
-                break
 
     def stop(self) -> None:
         """Stop the loop after the current callback returns."""

@@ -9,7 +9,6 @@ import pytest
 from repro.experiments import cli
 from repro.experiments.cli import COMMANDS, main
 from repro.experiments.figures import table1
-from repro.fastsim.engine import PHASE_TIMING_ENV
 from repro.runtime.backends import BackendStartupError
 from repro.telemetry.sink import SPILL_ENV_VAR
 
@@ -20,7 +19,7 @@ MINIMAL_ARGV = {
     "watch": ["watch", "feed.jsonl"],
 }
 
-ENV_VARS = ("REPRO_RNG_SANITIZE", SPILL_ENV_VAR, PHASE_TIMING_ENV)
+ENV_VARS = ("REPRO_RNG_SANITIZE", SPILL_ENV_VAR)
 
 
 def minimal_argv(cmd):
@@ -72,10 +71,8 @@ def test_environment_set_while_running_and_restored_after(
                  "--trace-out", str(tmp_path / "t.json")]) == 0
     capsys.readouterr()
     assert seen == [
-        {"REPRO_RNG_SANITIZE": "warn", SPILL_ENV_VAR: spill,
-         PHASE_TIMING_ENV: None},
-        {"REPRO_RNG_SANITIZE": None, SPILL_ENV_VAR: None,
-         PHASE_TIMING_ENV: "1"},
+        {"REPRO_RNG_SANITIZE": "warn", SPILL_ENV_VAR: spill},
+        {"REPRO_RNG_SANITIZE": None, SPILL_ENV_VAR: None},
     ]
     for var in ENV_VARS:
         assert var not in os.environ

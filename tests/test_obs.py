@@ -343,6 +343,28 @@ class TestEngineInstrumentation:
         eng.run()
         assert eng.events_processed == 1
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_exported_cancelled_counter_matches_attribute(self, tmp_path,
+                                                          traced):
+        """Entries dropped by heap compaction and by peek() count in the
+        exported counter too, not only those the run loop pops."""
+        trace = str(tmp_path / "t.json") if traced else None
+        with obs.session(trace_path=trace) as ctx:
+            eng = Engine()
+            events = [eng.schedule(float(i), lambda: None)
+                      for i in range(2000)]
+            for ev in events[:1500]:  # the 1001st cancel compacts
+                ev.cancel()
+            assert eng.heap_compactions == 1
+            assert eng.peek() == 1500.0  # drops the 499 left at the head
+            for ev in events[1600:1700]:  # popped by the run loop
+                ev.cancel()
+            eng.run()
+            counters = ctx.registry.counter_values()
+        assert eng.events_cancelled == 1600
+        assert counters["engine.events_cancelled"] == 1600
+        assert counters["engine.events_executed"] == eng.events_processed
+
     def test_cancelled_count_maintained_without_obs(self):
         eng = Engine()
         ev = eng.schedule(1.0, lambda: None)
@@ -350,6 +372,86 @@ class TestEngineInstrumentation:
         eng.schedule(2.0, lambda: None)
         eng.run()
         assert eng.events_cancelled == 1
+
+
+def _cancel_heavy_workload(eng):
+    """Drive ``eng`` through until/max_events/stop() runs whose callbacks
+    cancel and schedule other events; return the callback order."""
+    order = []
+    pending = []
+
+    def spawn(i, delay):
+        pending.append(eng.schedule(delay, lambda: fire(i)))
+
+    def fire(i):
+        order.append((i, eng.now))
+        for k in range(2):
+            victim = pending[(i * 7 + k) % len(pending)]
+            victim.cancel()
+        if i < 2500:
+            spawn(1200 + i, 1.0 + (i * 13) % 17)
+        if len(order) == 600:
+            eng.stop()
+
+    for i in range(1200):
+        spawn(i, (i % 97) * 0.5)
+    eng.run(max_events=100)
+    eng.run(until=40.0)
+    eng.run()  # a callback stops this run mid-way
+    eng.run(until=eng.now + 25.0)
+    return order
+
+
+class TestInstrumentedLoopParity:
+    """The plain loop and the instrumented loop (metrics-only and traced
+    sampling masks) run the same simulation."""
+
+    @staticmethod
+    def _outcome(eng, order):
+        return (eng.now, eng.events_processed, eng.events_cancelled, order)
+
+    def test_three_tiers_agree(self, tmp_path):
+        plain = Engine()
+        expected = self._outcome(plain, _cancel_heavy_workload(plain))
+        assert plain.heap_compactions >= 1
+        assert len(expected[3]) > 600  # ran on after the stop()
+        for trace in (None, str(tmp_path / "t.json")):
+            with obs.session(trace_path=trace) as ctx:
+                eng = Engine()
+                got = self._outcome(eng, _cancel_heavy_workload(eng))
+                counters = ctx.registry.counter_values()
+            assert got == expected
+            assert counters["engine.events_executed"] == eng.events_processed
+            assert counters["engine.events_cancelled"] == eng.events_cancelled
+
+    def test_traced_run_times_and_spans_every_event(self, tmp_path):
+        path = tmp_path / "t.json"
+        with obs.session(trace_path=str(path)) as ctx:
+            eng = Engine()
+            _cancel_heavy_workload(eng)
+            timed = sum(t.count for name, t in ctx.registry.timers().items()
+                        if name.startswith("engine.callback."))
+        spans = [e for e in json.loads(path.read_text())["traceEvents"]
+                 if e["ph"] == "X" and e["cat"] == "engine"]
+        assert timed == eng.events_processed
+        assert len(spans) == eng.events_processed
+
+
+class TestStepPhases:
+    def test_marks_land_in_timers_in_execution_order(self):
+        with obs.session() as ctx:
+            for _ in range(3):
+                mark = obs.step_phases(ctx, "eng.phase")
+                mark("b")
+                mark("a")
+        timers = ctx.registry.timers()
+        assert list(timers) == ["eng.phase.b", "eng.phase.a"]
+        assert all(t.count == 3 and t.total_s >= 0.0
+                   for t in timers.values())
+
+    def test_no_op_without_context(self):
+        mark = obs.step_phases(None, "eng.phase")
+        mark("a")  # nothing to write to, nothing raised
 
 
 class TestSessionExport:

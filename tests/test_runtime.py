@@ -9,7 +9,6 @@ seed) -- and each backend consuming it is bit-reproducible run-to-run.
 import numpy as np
 import pytest
 
-from repro.core.system import CoolstreamingSystem
 from repro.runtime import (
     DetailedBackend,
     FluidBackend,
@@ -20,7 +19,6 @@ from repro.runtime import (
     sample_workload,
 )
 from repro.workload.scenarios import steady_audience, uniform_ramp
-from repro.workload.users import UserPopulation
 
 
 def small_scenario(**kw):
@@ -146,16 +144,3 @@ class TestRunScenario:
         r1 = run_scenario(scenario, seed=4, engine="fast", capacity_hint=256)
         r2 = run_scenario(scenario, seed=4, engine="fast", capacity_hint=4096)
         assert r1.log.dumps() == r2.log.dumps()
-
-
-class TestScenarioShims:
-    def test_build_returns_system_and_population(self):
-        system, pop = small_scenario().build(seed=0)
-        assert isinstance(system, CoolstreamingSystem)
-        assert isinstance(pop, UserPopulation)
-
-    def test_run_shim_matches_run_scenario(self):
-        scenario = small_scenario()
-        system, _pop = scenario.run(seed=6)
-        res = run_scenario(scenario, seed=6, engine="detailed")
-        assert system.log.dumps() == res.log.dumps()
